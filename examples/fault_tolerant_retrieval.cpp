@@ -1,16 +1,16 @@
 // Fault-tolerant retrieval demo: persist a refactored field, damage it the
 // way long-lived campaign storage does (bit rot, lost segments, flaky
-// tiers), and retrieve through the fault-tolerant path. Transient faults
-// are retried away; permanent losses degrade the delivered accuracy and
-// the retrieval says so honestly instead of crashing or lying.
+// tiers), and retrieve through a RetrievalSession. Transient faults are
+// retried away; permanent losses degrade the delivered accuracy and the
+// refinement says so honestly instead of crashing or lying.
 //
 //   $ ./fault_tolerant_retrieval
 
 #include <cstdio>
 #include <filesystem>
 
-#include "progressive/fault_tolerant.h"
 #include "progressive/refactorer.h"
+#include "service/retrieval_session.h"
 #include "sim/dataset.h"
 #include "storage/fault_injection.h"
 #include "util/stats.h"
@@ -52,24 +52,26 @@ int main() {
   // The bit flip happens below the integrity check; this layer catches it.
   VerifyingBackend verified(&faulty, field.segments);
 
-  FaultTolerantReconstructor ft(&estimator);
-  ft.mutable_retry_policy()->set_sleep([](double) {});  // demo: no waiting
+  RetryPolicy retry;
+  retry.set_sleep([](double) {});  // demo: no waiting
+  RetrievalSession session("demo", &field, &verified, &estimator, nullptr,
+                           nullptr, retry);
 
-  RetrievalReport report;
-  auto data = ft.Retrieve(field, &verified, bound, &report);
+  RetrievalSession::Refinement refinement;
+  auto data = session.Refine(bound, &refinement);
   data.status().Abort("retrieve");
 
-  std::printf("\n%s\n", report.ToString().c_str());
+  std::printf("\n%s\n\n", refinement.ToString().c_str());
   const double measured =
-      MaxAbsError(original.vector(), data.value().vector());
+      MaxAbsError(original.vector(), data.value()->vector());
   std::printf("measured max error: %.6g (reported bound %.6g, requested "
               "%.6g)\n",
-              measured, report.achieved_bound, report.requested_bound);
-  if (measured > report.achieved_bound) {
+              measured, refinement.estimated_error, bound);
+  if (measured > refinement.estimated_error) {
     std::fprintf(stderr, "BUG: delivered error exceeds the reported bound\n");
     return 1;
   }
-  if (!report.degraded || report.retries == 0) {
+  if (!refinement.degraded || refinement.retries == 0) {
     std::fprintf(stderr, "BUG: expected a degraded, retried retrieval\n");
     return 1;
   }
@@ -77,12 +79,13 @@ int main() {
   // The same retrieval against clean storage: nothing skipped, bound met.
   auto clean = DirectoryBackend::Open(dir);
   clean.status().Abort("reopen");
-  RetrievalReport clean_report;
-  auto clean_data = ft.Retrieve(field, &clean.value(), bound, &clean_report);
-  clean_data.status().Abort("clean retrieve");
+  RetrievalSession clean_session("demo", &field, &clean.value(), &estimator);
+  RetrievalSession::Refinement clean_refinement;
+  clean_session.Refine(bound, &clean_refinement).status().Abort(
+      "clean retrieve");
   std::printf("clean storage for comparison: %s, %zu bytes read\n",
-              clean_report.bound_met ? "bound met" : "bound missed",
-              clean_report.bytes_read);
+              clean_refinement.bound_met ? "bound met" : "bound missed",
+              clean_refinement.fetched_bytes);
 
   std::filesystem::remove_all(dir);
   return 0;

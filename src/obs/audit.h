@@ -31,8 +31,8 @@
 // when it opted in by providing ground truth.
 //
 // The process-wide instance is GlobalAuditor(); the retrieval paths
-// (Reconstructor, FaultTolerantReconstructor, RetrievalSession) feed it by
-// default and accept an explicit auditor for tests.
+// (Reconstructor, RetrievalSession) feed it by default and accept an
+// explicit auditor for tests.
 
 #ifndef MGARDP_OBS_AUDIT_H_
 #define MGARDP_OBS_AUDIT_H_
@@ -69,7 +69,7 @@ struct AuditRecord {
   double predicted_error = 0.0;
   // Ground-truth max error; NaN (the default) marks estimate-only records.
   double actual_error = std::numeric_limits<double>::quiet_NaN();
-  bool degraded = false;  // fault-tolerant path lost segments
+  bool degraded = false;  // the session degraded around lost segments
   std::size_t bytes_fetched = 0;
   // Cheapest bytes per the stored error matrices (0: not computed).
   std::size_t oracle_bytes = 0;

@@ -110,27 +110,29 @@ namespace {
 // stair-step function of the plane count (a plane that does not touch the
 // worst coefficient reduces nothing), which makes single-plane efficiency
 // misleading on small levels. Scanning all block lengths amortizes over
-// both. Returns false when every plane is already fetched.
-// `caps`, when non-null, bounds the planes considered per level (degraded
-// retrieval plans only over segments that still verify).
+// both. Level l never grows past caps[l] planes (degraded retrieval plans
+// only over segments that still verify), and a block is admissible only if
+// the plan's total stays within `byte_limit`. Returns false when no block
+// is admissible.
 bool GreedyStep(const RefactoredField& field, const SizeInterpreter& sizes,
-                const ErrorEstimator& estimator, std::vector<int>* prefix,
-                double* est, const std::vector<int>* caps = nullptr) {
-  const int L = field.num_levels();
+                const ErrorEstimator& estimator, const std::vector<int>& caps,
+                std::size_t byte_limit, std::vector<int>* prefix,
+                double* est) {
+  const std::size_t spent = sizes.TotalBytes(*prefix);
   int best_level = -1;
   int best_count = 0;
   double best_eff = -std::numeric_limits<double>::infinity();
   double best_est = *est;
-  for (int l = 0; l < L; ++l) {
-    const int limit =
-        caps == nullptr ? field.num_planes
-                        : std::clamp((*caps)[l], 0, field.num_planes);
+  for (int l = 0; l < field.num_levels(); ++l) {
     std::vector<int> candidate = *prefix;
     double block_bytes = 0.0;
-    for (int k = 1; (*prefix)[l] + k <= limit; ++k) {
+    for (int k = 1; (*prefix)[l] + k <= caps[l]; ++k) {
       candidate[l] = (*prefix)[l] + k;
       block_bytes += static_cast<double>(
           std::max<std::size_t>(sizes.PlaneSize(l, candidate[l] - 1), 1));
+      if (spent + static_cast<std::size_t>(block_bytes) > byte_limit) {
+        break;  // this and all longer blocks exceed the limit
+      }
       const double cand_est = estimator.Estimate(field, candidate);
       const double eff = (*est - cand_est) / block_bytes;
       if (eff > best_eff) {
@@ -188,6 +190,46 @@ void TrimPlan(const RefactoredField& field, const SizeInterpreter& sizes,
   }
 }
 
+constexpr std::size_t kNoByteLimit = std::numeric_limits<std::size_t>::max();
+// A bound no estimate meets: plan until no block is admissible.
+constexpr double kNoBound = -std::numeric_limits<double>::infinity();
+
+// The greedy planning loop behind every planner: from `prefix` (within
+// `caps`), take GreedySteps while the estimate is above `error_bound` and
+// some block is admissible. `trim` runs TrimPlan once the bound is met;
+// `visited`, when non-null, receives every prefix state, start included.
+RetrievalPlan GreedyPlan(const RefactoredField& field,
+                         const ErrorEstimator& estimator, double error_bound,
+                         std::vector<int> prefix, const std::vector<int>& caps,
+                         std::size_t byte_limit = kNoByteLimit,
+                         bool trim = false,
+                         std::vector<std::vector<int>>* visited = nullptr) {
+  SizeInterpreter sizes = MakeSizeInterpreter(field);
+  double est = estimator.Estimate(field, prefix);
+  do {
+    if (visited != nullptr) {
+      visited->push_back(prefix);
+    }
+  } while (est > error_bound && GreedyStep(field, sizes, estimator, caps,
+                                           byte_limit, &prefix, &est));
+  if (trim && est <= error_bound) {
+    TrimPlan(field, sizes, estimator, error_bound, &prefix, &est);
+  }
+  RetrievalPlan plan;
+  plan.total_bytes = sizes.TotalBytes(prefix);
+  plan.prefix = std::move(prefix);
+  plan.estimated_error = est;
+  return plan;
+}
+
+std::vector<int> Zeros(const RefactoredField& field) {
+  return std::vector<int>(field.num_levels(), 0);
+}
+
+std::vector<int> NoCaps(const RefactoredField& field) {
+  return std::vector<int>(field.num_levels(), field.num_planes);
+}
+
 }  // namespace
 
 Result<RetrievalPlan> Reconstructor::Plan(const RefactoredField& field,
@@ -196,58 +238,23 @@ Result<RetrievalPlan> Reconstructor::Plan(const RefactoredField& field,
     return Status::Invalid("error_bound must be positive");
   }
   MGARDP_TRACE_SPAN("retrieve/plan", "progressive");
-  SizeInterpreter sizes = MakeSizeInterpreter(field);
-
-  RetrievalPlan plan;
-  plan.prefix.assign(field.num_levels(), 0);
-  double est = estimator_->Estimate(field, plan.prefix);
-  while (est > error_bound &&
-         GreedyStep(field, sizes, *estimator_, &plan.prefix, &est)) {
-  }
-  if (est <= error_bound) {
-    TrimPlan(field, sizes, *estimator_, error_bound, &plan.prefix, &est);
-  }
-  plan.estimated_error = est;
-  plan.total_bytes = sizes.TotalBytes(plan.prefix);
-  return plan;
+  return GreedyPlan(field, *estimator_, error_bound, Zeros(field),
+                    NoCaps(field), kNoByteLimit, /*trim=*/true);
 }
 
 std::vector<std::vector<int>> Reconstructor::Progression(
     const RefactoredField& field) const {
-  SizeInterpreter sizes = MakeSizeInterpreter(field);
-  std::vector<int> prefix(field.num_levels(), 0);
-  double est = estimator_->Estimate(field, prefix);
   std::vector<std::vector<int>> states;
-  states.push_back(prefix);
-  while (GreedyStep(field, sizes, *estimator_, &prefix, &est)) {
-    states.push_back(prefix);
-  }
+  GreedyPlan(field, *estimator_, kNoBound, Zeros(field), NoCaps(field),
+             kNoByteLimit, /*trim=*/false, &states);
   return states;
 }
 
 Result<RetrievalPlan> Reconstructor::PlanRefinement(
     const RefactoredField& field, const std::vector<int>& have,
     double error_bound) const {
-  if (!(error_bound > 0.0)) {
-    return Status::Invalid("error_bound must be positive");
-  }
-  if (static_cast<int>(have.size()) != field.num_levels()) {
-    return Status::Invalid("have-prefix size does not match level count");
-  }
-  MGARDP_TRACE_SPAN("retrieve/plan", "progressive");
-  SizeInterpreter sizes = MakeSizeInterpreter(field);
-  RetrievalPlan plan;
-  plan.prefix = have;
-  for (int& p : plan.prefix) {
-    p = std::clamp(p, 0, field.num_planes);
-  }
-  double est = estimator_->Estimate(field, plan.prefix);
-  while (est > error_bound &&
-         GreedyStep(field, sizes, *estimator_, &plan.prefix, &est)) {
-  }
-  plan.estimated_error = est;
-  plan.total_bytes = sizes.TotalBytes(plan.prefix);
-  return plan;
+  return PlanConstrained(field, *estimator_, error_bound, have,
+                         NoCaps(field));
 }
 
 Result<RetrievalPlan> PlanConstrained(const RefactoredField& field,
@@ -264,67 +271,19 @@ Result<RetrievalPlan> PlanConstrained(const RefactoredField& field,
     return Status::Invalid("have/caps sizes do not match level count");
   }
   MGARDP_TRACE_SPAN("retrieve/plan", "progressive");
-  SizeInterpreter sizes = MakeSizeInterpreter(field);
-  RetrievalPlan plan;
-  plan.prefix = have;
+  std::vector<int> limits(L);
+  std::vector<int> start(L);
   for (int l = 0; l < L; ++l) {
-    plan.prefix[l] =
-        std::clamp(plan.prefix[l], 0,
-                   std::clamp(caps[l], 0, field.num_planes));
+    limits[l] = std::clamp(caps[l], 0, field.num_planes);
+    start[l] = std::clamp(have[l], 0, limits[l]);
   }
-  double est = estimator.Estimate(field, plan.prefix);
-  while (est > error_bound &&
-         GreedyStep(field, sizes, estimator, &plan.prefix, &est, &caps)) {
-  }
-  plan.estimated_error = est;
-  plan.total_bytes = sizes.TotalBytes(plan.prefix);
-  return plan;
+  return GreedyPlan(field, estimator, error_bound, std::move(start), limits);
 }
 
 Result<RetrievalPlan> Reconstructor::PlanWithinBudget(
     const RefactoredField& field, std::size_t byte_budget) const {
-  SizeInterpreter sizes = MakeSizeInterpreter(field);
-  RetrievalPlan plan;
-  plan.prefix.assign(field.num_levels(), 0);
-  double est = estimator_->Estimate(field, plan.prefix);
-
-  // Same block-lookahead greedy as Plan, but a candidate block is only
-  // admissible if it fits the remaining budget, and we stop when nothing
-  // fits anymore.
-  while (true) {
-    const std::size_t spent = sizes.TotalBytes(plan.prefix);
-    int best_level = -1;
-    int best_count = 0;
-    double best_eff = -std::numeric_limits<double>::infinity();
-    double best_est = est;
-    for (int l = 0; l < field.num_levels(); ++l) {
-      std::vector<int> candidate = plan.prefix;
-      double block_bytes = 0.0;
-      for (int k = 1; plan.prefix[l] + k <= field.num_planes; ++k) {
-        candidate[l] = plan.prefix[l] + k;
-        block_bytes += static_cast<double>(
-            std::max<std::size_t>(sizes.PlaneSize(l, candidate[l] - 1), 1));
-        if (spent + static_cast<std::size_t>(block_bytes) > byte_budget) {
-          break;  // this and all longer blocks exceed the budget
-        }
-        const double cand_est = estimator_->Estimate(field, candidate);
-        const double eff = (est - cand_est) / block_bytes;
-        if (eff > best_eff) {
-          best_eff = eff;
-          best_level = l;
-          best_count = k;
-          best_est = cand_est;
-        }
-      }
-    }
-    if (best_level < 0) {
-      break;
-    }
-    plan.prefix[best_level] += best_count;
-    est = best_est;
-  }
-  plan.estimated_error = est;
-  plan.total_bytes = sizes.TotalBytes(plan.prefix);
+  RetrievalPlan plan = GreedyPlan(field, *estimator_, kNoBound, Zeros(field),
+                                  NoCaps(field), byte_budget);
   MGARDP_DCHECK_LE(plan.total_bytes, byte_budget);
   return plan;
 }
@@ -414,20 +373,8 @@ Result<RetrievalPlan> OracleMinPlan(const RefactoredField& field,
   if (!(tolerance > 0.0)) {
     return Status::Invalid("tolerance must be positive");
   }
-  SizeInterpreter sizes = MakeSizeInterpreter(field);
-  IdealMatrixEstimator ideal;
-  RetrievalPlan plan;
-  plan.prefix.assign(field.num_levels(), 0);
-  double est = ideal.Estimate(field, plan.prefix);
-  while (est > tolerance &&
-         GreedyStep(field, sizes, ideal, &plan.prefix, &est)) {
-  }
-  if (est <= tolerance) {
-    TrimPlan(field, sizes, ideal, tolerance, &plan.prefix, &est);
-  }
-  plan.estimated_error = est;
-  plan.total_bytes = sizes.TotalBytes(plan.prefix);
-  return plan;
+  return GreedyPlan(field, IdealMatrixEstimator(), tolerance, Zeros(field),
+                    NoCaps(field), kNoByteLimit, /*trim=*/true);
 }
 
 std::string AuditModelId(const std::string& estimator_name) {

@@ -99,15 +99,16 @@ Result<Array3Dd> ReconstructFromPrefix(const RefactoredField& field,
                                        const std::vector<int>& prefix);
 
 // Same, but reading segments from `segments` instead of field.segments —
-// the fault-tolerant path reconstructs from whatever it managed to fetch
-// while `field` supplies only metadata.
+// a RetrievalSession reconstructs from the payloads it fetched while
+// `field` supplies only metadata.
 Result<Array3Dd> ReconstructFromSegments(const RefactoredField& field,
                                          const SegmentStore& segments,
                                          const std::vector<int>& prefix);
 
 // Greedy planning toward `error_bound` starting from `have`, never taking
-// level l beyond caps[l] planes. This is Plan() generalized for degraded
-// retrieval: when segments are lost, the caps exclude them and the greedy
+// level l beyond caps[l] planes, and without TrimPlan's post-pass (so the
+// result dominates `have`). PlanRefinement is this with no caps; degraded
+// retrieval caps the levels whose segments were lost, and the greedy
 // compensates across the surviving levels. Both `have` and `caps` must
 // have num_levels entries; pass caps[l] = num_planes for no constraint.
 Result<RetrievalPlan> PlanConstrained(const RefactoredField& field,

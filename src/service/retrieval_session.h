@@ -1,19 +1,30 @@
-// Stateful per-client retrieval sessions.
+// Stateful per-client retrieval sessions: the one retrieval driver that
+// reads from a StorageBackend.
 //
 // A client that progressively tightens its error bound should pay only the
 // incremental bit-plane cost, not a full re-read per request. A session
 // keeps, per client:
-//   * the bit-plane prefix fetched so far (`prefix()`),
+//   * the bit-plane prefix of its current reconstruction (`prefix()`),
 //   * the segment payloads already in hand (so re-reconstruction never
 //     re-reads storage), and
 //   * the last reconstructed field (so loosening the bound is a no-op that
 //     returns the cached array).
 //
-// Tightening plans with Reconstructor::PlanRefinement starting from the
-// in-hand prefix, so only the delta segments are fetched — through the
-// shared SegmentCache when one is attached (misses fill it for every other
+// Tightening plans greedily (PlanConstrained) starting from the prefix in
+// hand, so only the delta segments are fetched — through the shared
+// SegmentCache when one is attached (misses fill it for every other
 // session on the same field, identical concurrent fetches are single-
 // flight), directly from the backend otherwise.
+//
+// Degradation: transient IOErrors are retried (RetryPolicy). A permanent
+// failure (checksum mismatch, missing segment, retries exhausted) caps that
+// level's prefix at the lost plane and re-plans across the surviving
+// segments; so does a plane that fails to decompress after a decode fails
+// (containers without checksums). The Refinement reports `degraded` and
+// `skipped`, and its estimate is taken at the prefix actually delivered. A
+// degraded session is never a no-op: the next Refine re-plans from scratch
+// and retries the lost planes, so once the fault clears it lands on a cold
+// session's field.
 //
 // Determinism: the greedy planner's fetch trajectory does not depend on the
 // requested bound (the bound only decides where along it to stop), so a
@@ -64,6 +75,13 @@ struct EstimatorLease {
 // the whole session will use. Must be safe to call from any thread.
 using EstimatorProvider = std::function<EstimatorLease()>;
 
+// One segment a refinement gave up on, and why.
+struct SkippedSegment {
+  int level = 0;
+  int plane = 0;
+  Status reason;
+};
+
 class RetrievalSession {
  public:
   // What one Refine() call did.
@@ -73,10 +91,10 @@ class RetrievalSession {
     bool bound_met = false;  // estimated_error <= requested_bound (estimate!)
     bool noop = false;       // bound already satisfied; cached field returned
 
-    // Honest accounting, mirroring RetrievalReport: bound_met above only
-    // says the *estimate* cleared the bound. When the session has ground
-    // truth attached, has_actual is true and actual_error/actual_bound_met
-    // report the real achieved error against it.
+    // Honest accounting: bound_met above only says the *estimate* cleared
+    // the bound. When the session has ground truth attached, has_actual is
+    // true and actual_error/actual_bound_met report the real achieved
+    // error against it.
     bool has_actual = false;
     double actual_error = 0.0;
     bool actual_bound_met = false;  // actual_error <= requested_bound
@@ -89,6 +107,11 @@ class RetrievalSession {
     std::size_t fetched_bytes = 0;
     std::size_t cached_bytes = 0;
     std::size_t reused_bytes = 0;
+
+    bool degraded = false;  // some segment was permanently lost (skipped)
+    std::vector<SkippedSegment> skipped;
+    int retries = 0;  // transient-fault retries performed
+    int replans = 0;  // times planning restarted after a loss
 
     std::string ToString() const;
   };
@@ -109,8 +132,9 @@ class RetrievalSession {
   // session's estimator): fetches only segments not already in hand,
   // reconstructs, and returns the field. A bound already satisfied by the
   // current prefix returns the cached reconstruction without planning or
-  // I/O. When the bound is unreachable even with every plane, the best
-  // achievable field is returned and `info->bound_met` is false.
+  // I/O. When the bound is unreachable even with every plane, or storage
+  // lost segments it needed, the best achievable field is returned and
+  // `info->bound_met` is false.
   Result<const Array3Dd*> Refine(double error_bound,
                                  Refinement* info = nullptr);
 
@@ -144,6 +168,16 @@ class RetrievalSession {
   std::size_t lifetime_fetched_bytes() const;  // backend reads, ever
 
  private:
+  // Fetches the planes of `prefix` not yet in hand. On a permanent loss,
+  // records it in `ref`, caps its level and returns false.
+  bool FetchPlanned(const std::vector<int>& prefix, const RetryPolicy& retry,
+                    std::vector<int>* caps, Refinement* ref);
+  // After a failed decode: decompresses the planes fetched since `from`,
+  // drops the first damaged plane of each level and caps the level there.
+  // Returns false when no fetched plane is damaged.
+  bool DropDamagedPlanes(const std::vector<int>& from, std::vector<int>* caps,
+                         Refinement* ref);
+
   const std::string field_id_;
   const RefactoredField* field_;
   StorageBackend* backend_;
@@ -157,7 +191,9 @@ class RetrievalSession {
   obs::ErrorControlAuditor* auditor_ = nullptr;  // guarded by mu_
   EstimatorProvider estimator_provider_;      // guarded by mu_
   EstimatorLease lease_;                      // pinned at first Refine
-  std::vector<int> have_;          // planes in hand per level
+  std::vector<int> have_;          // prefix of data_
+  std::vector<int> held_;          // planes in local_ per level (>= have_)
+  bool degraded_ = false;          // have_ is capped around lost segments
   double estimate_;                // estimator value at have_
   SegmentStore local_;             // payloads already fetched
   std::optional<Array3Dd> data_;   // reconstruction at have_

@@ -142,12 +142,19 @@ void RetrievalScheduler::Process(Item* item) const {
   if (metrics_ != nullptr) {
     metrics_->OnCompleted(response.status.ok(), response.latency_ms);
   }
+  // A degraded refinement delivered a field, but storage lost part of what
+  // was asked for: the flight recorder keeps it as "degraded" and the SLO
+  // counts it bad, exactly like a kDataLoss failure.
+  const Status outcome =
+      response.status.ok() && response.refinement.degraded
+          ? Status::DataLoss("refinement degraded around lost segments")
+          : response.status;
   if (options_.flight_recorder != nullptr) {
-    options_.flight_recorder->FinishRequest(item->ctx, response.status,
+    options_.flight_recorder->FinishRequest(item->ctx, outcome,
                                             response.latency_ms);
   }
   if (options_.slo != nullptr) {
-    options_.slo->OnRequest(req.error_bound, response.status.ok(),
+    options_.slo->OnRequest(req.error_bound, outcome.ok(),
                             response.latency_ms);
   }
   if (item->done) {

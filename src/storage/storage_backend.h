@@ -1,19 +1,18 @@
 // Pluggable segment I/O behind the retrieval path.
 //
-// The reconstructor's fault-tolerant path fetches segments through this
-// interface instead of touching a SegmentStore directly, so the same code
-// serves in-memory stores, on-disk artifact directories, and (in tests)
+// RetrievalSession fetches segments through this interface instead of
+// touching a SegmentStore directly, so the same code serves in-memory
+// stores, on-disk artifact directories, replicated clusters and (in tests)
 // backends with injected faults. Layering convention, bottom to top:
 //
 //   MemoryBackend / DirectoryBackend   raw bytes (Directory verifies CRC)
 //   FaultInjectingBackend              simulated media faults (tests)
 //   VerifyingBackend                   CRC check against a checksum table
-//   CachingBackend                     shared segment cache (src/service/)
 //
 // A VerifyingBackend on top of a FaultInjectingBackend models the real
 // deployment truthfully: corruption happens on the media, below the
-// integrity check, and is caught by it. The service layer's CachingBackend
-// sits above the verifying layer, so only verified bytes are ever cached.
+// integrity check, and is caught by it. The service layer's SegmentCache
+// fills from the session's backend, so only verified bytes are ever cached.
 //
 // Thread-safety: Get/Contains/Keys on the backends defined here are safe
 // to call concurrently from any number of threads as long as no Put or

@@ -1,5 +1,5 @@
-// End-to-end failover: the fault-tolerant retrieval stack on top of the
-// replicated cluster. A fault-kind x replication-factor matrix checks that
+// End-to-end failover: retrieval sessions on top of the replicated
+// cluster. A fault-kind x replication-factor matrix checks that
 // R=2 hides single-replica faults completely (bit-identical, non-degraded
 // retrievals) while R=1 degrades honestly instead of crashing or lying,
 // and a scheduler-driven mini chaos run kills a node mid-workload.
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "cluster/cluster_backend.h"
-#include "progressive/fault_tolerant.h"
 #include "progressive/refactorer.h"
 #include "service/retrieval_session.h"
 #include "service/scheduler.h"
@@ -88,9 +87,9 @@ TEST_F(ClusterFailoverTest, ReplicatedClusterHidesEverySingleReplicaFault) {
     rule.fail_attempts = -1;  // transient that never recovers on its own
     faults->SetFault(0, 0, rule);
 
-    FaultTolerantReconstructor ft(&theory_);
-    RetrievalReport report;
-    auto result = ft.Retrieve(field_, view.get(), 1e-3 * range_, &report);
+    RetrievalSession session("ex", &field_, view.get(), &theory_);
+    RetrievalSession::Refinement report;
+    auto result = session.Refine(1e-3 * range_, &report);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     // The second replica served the clean copy: nothing was degraded and
     // the result is bit-identical to a fault-free retrieval.
@@ -132,15 +131,15 @@ TEST_F(ClusterFailoverTest, UnreplicatedClusterDegradesHonestly) {
     rule.fail_attempts = -1;
     faults->SetFault(0, 0, rule);
 
-    FaultTolerantReconstructor ft(&theory_);
-    RetrievalReport report;
-    auto result = ft.Retrieve(field_, view.get(), 1e-3 * range_, &report);
+    RetrievalSession session("ex", &field_, view.get(), &theory_);
+    RetrievalSession::Refinement report;
+    auto result = session.Refine(1e-3 * range_, &report);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     // Honest degradation: the skipped segment is reported and the achieved
     // bound does not pretend to meet the request.
     EXPECT_TRUE(report.degraded);
     EXPECT_FALSE(report.skipped.empty());
-    EXPECT_GT(report.achieved_bound, 1e-3 * range_);
+    EXPECT_GT(report.estimated_error, 1e-3 * range_);
     EXPECT_FALSE(report.bound_met);
   }
 }

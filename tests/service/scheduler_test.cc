@@ -19,6 +19,7 @@
 #include "service/segment_cache.h"
 #include "service/service_metrics.h"
 #include "sim/warpx.h"
+#include "storage/fault_injection.h"
 #include "storage/storage_backend.h"
 #include "util/parallel.h"
 
@@ -372,6 +373,52 @@ TEST_F(RetrievalSchedulerTest, FlightRecorderAndSloObserveAdmissionAndShed) {
   EXPECT_EQ(objectives[0].name, "latency:all");
   EXPECT_EQ(objectives[0].slo.total, 3u);
   EXPECT_GE(objectives[0].slo.bad, 1u);
+}
+
+TEST_F(RetrievalSchedulerTest, DegradedRefinementIsKeptAsDegraded) {
+  // A lost segment no longer fails the request — the session degrades and
+  // returns a field — but the flight recorder must still keep its lane as
+  // "degraded" and the SLO must count it bad.
+  FaultInjectingBackend faulty(backend_.get());
+  faulty.SetFault(0, 0, {FaultKind::kMissing});
+  RetrievalSession session("f", &field_, &faulty, &theory_);
+
+  obs::RequestTraceRecorder::Options ropts;
+  ropts.slow_threshold_ms = 1e9;  // nothing is "slow"
+  obs::RequestTraceRecorder recorder(ropts);
+  obs::SloMonitor slo;
+  RetrievalScheduler::Options opts;
+  opts.flight_recorder = &recorder;
+  opts.slo = &slo;
+  RetrievalScheduler scheduler(nullptr, opts);
+
+  RetrievalScheduler::Response response;
+  RetrievalScheduler::Request req;
+  req.session = &session;
+  req.error_bound = 1e-2 * range_;
+  ASSERT_TRUE(scheduler
+                  .Submit(req,
+                          [&response](const RetrievalScheduler::Response& r) {
+                            response = r;
+                          })
+                  .ok());
+  scheduler.Drain();
+
+  ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+  EXPECT_NE(response.data, nullptr);
+  EXPECT_TRUE(response.refinement.degraded);
+
+  const obs::RequestTraceRecorder::Stats stats = recorder.stats();
+  EXPECT_EQ(stats.kept_degraded, 1u);
+  const auto retained = recorder.retained();
+  ASSERT_EQ(retained.size(), 1u);
+  EXPECT_STREQ(retained[0].reason, "degraded");
+  EXPECT_EQ(retained[0].code, StatusCode::kDataLoss);
+
+  const auto objectives = slo.snapshot();
+  ASSERT_FALSE(objectives.empty());
+  EXPECT_EQ(objectives[0].slo.total, 1u);
+  EXPECT_EQ(objectives[0].slo.bad, 1u);
 }
 
 }  // namespace

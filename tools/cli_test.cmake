@@ -132,8 +132,9 @@ if(NOT cluster_json MATCHES "\"replicas_lost\":0")
   message(FATAL_ERROR "R=2 cluster bench lost data:\n${cluster_json}")
 endif()
 
-# An unreplicated cluster degrades gracefully instead of crashing: failed
-# refinements fall back to honest degraded retrievals, exit stays 0.
+# An unreplicated cluster degrades gracefully instead of crashing:
+# refinements that lose segments degrade honestly in their sessions, exit
+# stays 0.
 run_cli(0 serve-bench --shards 4 --replicas 1 --kill-node-at 50%
         --requests 48 --clients 4)
 

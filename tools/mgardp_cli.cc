@@ -36,9 +36,10 @@
 //             or --emgard MODEL.bin (learned estimator in the greedy
 //             planner) instead of --estimator.
 //
-//   retrieve  also accepts --tolerant: fetches through the fault-tolerant
-//             path (retries + graceful degradation) and prints the
-//             retrieval report instead of failing on a damaged artifact.
+//   retrieve  also accepts --tolerant: retrieves through a RetrievalSession
+//             over the artifact directory (retries + graceful degradation)
+//             and prints the refinement summary instead of failing on a
+//             damaged artifact.
 //
 //   serve-bench  --app warpx|gray-scott --field NAME --dims NX[,NY[,NZ]]
 //             [--fields F] [--clients 1,8,64] [--rounds R] [--planes B]
@@ -55,9 +56,9 @@
 //             placement, --replicas copies), --requests refinements
 //             arrive open-loop (Poisson at --rate req/s, 0 = full speed),
 //             and --kill-node-at 50% kills a node mid-run. Reads fail
-//             over along the ring; failed refinements degrade through the
-//             fault-tolerant reconstructor; p50/p99/p999 latency and the
-//             failover/scrub counters land in --json.
+//             over along the ring; refinements that lose segments degrade
+//             in their sessions and are counted as degraded; p50/p99/p999
+//             latency and the failover/scrub counters land in --json.
 //
 //   scrub     --cluster [--shards N] [--replicas R] [--kill-node ID]
 //             In-process repair drill: wipe one node of a simulated
@@ -130,7 +131,6 @@
 #include "obs/slo.h"
 #include "obs/trace_export.h"
 #include "obs/tracer.h"
-#include "progressive/fault_tolerant.h"
 #include "progressive/reconstructor.h"
 #include "progressive/refactorer.h"
 #include "progressive/repository.h"
@@ -520,20 +520,20 @@ int CmdRetrieve(const Flags& flags) {
     if (!backend.ok()) {
       return Fail(backend.status());
     }
-    FaultTolerantReconstructor ft(estimator);
-    ft.set_ground_truth(truth ? &*truth : nullptr);
-    RetrievalReport report;
-    auto data = ft.Retrieve(f, &backend.value(), bound, &report);
+    RetrievalSession session(dir, &f, &backend.value(), estimator);
+    session.set_ground_truth(truth ? &*truth : nullptr);
+    RetrievalSession::Refinement refinement;
+    auto data = session.Refine(bound, &refinement);
     if (!data.ok()) {
       return Fail(data.status());
     }
-    Status st = WriteRawField(out, data.value());
+    Status st = WriteRawField(out, *data.value());
     if (!st.ok()) {
       return Fail(st);
     }
-    std::printf("retrieved %s -> %s (fault-tolerant, estimator=%s)\n%s",
+    std::printf("retrieved %s -> %s (fault-tolerant, estimator=%s)\n%s\n",
                 dir.c_str(), out.c_str(), estimator->name().c_str(),
-                report.ToString().c_str());
+                refinement.ToString().c_str());
     return 0;
   }
 
@@ -903,10 +903,10 @@ double ParseKillFraction(const Flags& flags) {
 // `--shards` simulated nodes with `--replicas` copies each; at
 // `--kill-node-at` of the stream one node is killed mid-run. Every session
 // carries ground truth, so a reconstruction whose estimate claims the
-// bound but whose actual error misses it counts as `incorrect`. Failed
-// refinements (e.g. --replicas 1 losing a segment with its node) fall back
-// to the fault-tolerant reconstructor and count as honest degradations
-// rather than crashes.
+// bound but whose actual error misses it counts as `incorrect`.
+// Refinements that lose segments (e.g. --replicas 1 losing a segment with
+// its node) degrade inside their sessions and count as honest
+// degradations rather than crashes.
 // ---- serve-bench observability (flight recorder + SLO) ---------------------
 
 // Per-run request-tracing and SLO wiring shared by the serve-bench modes.
@@ -1368,7 +1368,6 @@ int CmdServeBenchCluster(const Flags& flags) {
   std::atomic<std::size_t> failed{0};
   std::atomic<std::size_t> incorrect{0};
   std::atomic<std::size_t> degraded{0};
-  std::atomic<std::size_t> hard_failures{0};
   std::mutex report_mu;
   std::string last_degraded_report;  // guarded by report_mu
   std::size_t rejected = 0;
@@ -1402,21 +1401,12 @@ int CmdServeBenchCluster(const Flags& flags) {
         [&, c, bound](const RetrievalScheduler::Response& resp) {
           if (!resp.status.ok()) {
             failed.fetch_add(1, std::memory_order_relaxed);
-            // Degrade instead of dying: plan around whatever is lost and
-            // report the honest achieved bound.
-            RetrievalReport report;
-            FaultTolerantReconstructor ft(&estimator);
-            auto recovered = ft.Retrieve(fields[field_of[c]],
-                                         views[field_of[c]].get(), bound,
-                                         &report);
-            if (recovered.ok()) {
-              degraded.fetch_add(1, std::memory_order_relaxed);
-              std::lock_guard<std::mutex> lock(report_mu);
-              last_degraded_report = report.ToString();
-            } else {
-              hard_failures.fetch_add(1, std::memory_order_relaxed);
-            }
             return;
+          }
+          if (resp.refinement.degraded) {
+            degraded.fetch_add(1, std::memory_order_relaxed);
+            std::lock_guard<std::mutex> lock(report_mu);
+            last_degraded_report = resp.refinement.ToString();
           }
           if (resp.refinement.has_actual && resp.refinement.bound_met &&
               !resp.refinement.actual_bound_met) {
@@ -1470,7 +1460,8 @@ int CmdServeBenchCluster(const Flags& flags) {
   std::printf("  p50=%.2fms p99=%.2fms p999=%.2fms\n", m.latency_p50_ms,
               m.latency_p99_ms, m.latency_p999_ms);
   if (!last_degraded_report.empty()) {
-    std::printf("  last degraded retrieval:\n%s", last_degraded_report.c_str());
+    std::printf("  last degraded refinement:\n  %s\n",
+                last_degraded_report.c_str());
   }
   PrintSloReport(*obs_run.slo);
   if (const Status st = FinishRequestTraces(obs_run); !st.ok()) {
@@ -1493,7 +1484,6 @@ int CmdServeBenchCluster(const Flags& flags) {
        << ",\"rejected\":" << rejected << ",\"failed\":" << failed.load()
        << ",\"degraded\":" << degraded.load()
        << ",\"incorrect\":" << incorrect.load()
-       << ",\"hard_failures\":" << hard_failures.load()
        << ",\"failovers_total\":" << cs.failovers
        << ",\"retries_total\":" << cs.retries
        << ",\"replicas_lost\":" << cs.replicas_lost
@@ -1514,7 +1504,7 @@ int CmdServeBenchCluster(const Flags& flags) {
     }
     std::printf("wrote %s\n", json_path.c_str());
   }
-  return (hard_failures.load() > 0 || incorrect.load() > 0) ? 2 : 0;
+  return (failed.load() > 0 || incorrect.load() > 0) ? 2 : 0;
 }
 
 int CmdServeBenchRetrain(const Flags& flags);  // defined below

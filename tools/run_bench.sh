@@ -14,8 +14,9 @@
 # the in-process retrieval service through the CLI (throughput and cache
 # hit rate at 1/8/64 concurrent clients) instead of a google-benchmark
 # binary; it runs traced (--trace), so BENCH_serve.json carries a
-# per-"stages" profile and BENCH_serve_trace.json holds the Chrome
-# timeline. The `obs` suite additionally prints the tracing-disabled span
+# per-"stages" profile. The Chrome timeline it also writes,
+# BENCH_serve_trace.json, is a large local artifact for chrome://tracing
+# and is not committed (.gitignore). The `obs` suite additionally prints the tracing-disabled span
 # overhead extracted from its own results. The `audit` suite trains small
 # D-MGARD/E-MGARD models and runs the error-control audit (`mgardp audit`)
 # against ground truth on both simulated applications, producing
