@@ -66,19 +66,6 @@ void BM_BitplaneTranspose(benchmark::State& state) {
 }
 BENCHMARK(BM_BitplaneTranspose)->Arg(4096)->Arg(262144);
 
-// Scalar reference encoder, for the before/after story against
-// BM_BitplaneEncode (the word-parallel path).
-void BM_BitplaneTransposeScalarEncode(benchmark::State& state) {
-  const auto coefs = RandomCoefs(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    auto set = internal::EncodeScalar(coefs, 32, nullptr);
-    benchmark::DoNotOptimize(set);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(coefs.size()));
-}
-BENCHMARK(BM_BitplaneTransposeScalarEncode)->Arg(4096)->Arg(32768);
-
 void BM_BitplaneDecode(benchmark::State& state) {
   const auto coefs = RandomCoefs(32768);
   BitplaneEncoder enc(32);
@@ -109,7 +96,8 @@ void BM_BitplaneEncodeThreads(benchmark::State& state) {
                           static_cast<int64_t>(coefs.size()));
   SetGlobalThreadCount(ambient);
 }
-BENCHMARK(BM_BitplaneEncodeThreads)->Arg(1)->Arg(4)->Arg(8);
+BENCHMARK(BM_BitplaneEncodeThreads)->Arg(1)->Arg(4)->Arg(8)
+    ->UseRealTime();
 
 void BM_BitplaneDecodeThreads(benchmark::State& state) {
   const int ambient = GlobalThreadCount();
@@ -126,6 +114,7 @@ void BM_BitplaneDecodeThreads(benchmark::State& state) {
                           static_cast<int64_t>(coefs.size()));
   SetGlobalThreadCount(ambient);
 }
-BENCHMARK(BM_BitplaneDecodeThreads)->Arg(1)->Arg(4)->Arg(8);
+BENCHMARK(BM_BitplaneDecodeThreads)->Arg(1)->Arg(4)->Arg(8)
+    ->UseRealTime();
 
 }  // namespace

@@ -87,6 +87,7 @@ void BM_Decompose3DThreads(benchmark::State& state) {
                           static_cast<int64_t>(dims.size()));
   SetGlobalThreadCount(ambient);
 }
-BENCHMARK(BM_Decompose3DThreads)->Arg(1)->Arg(4)->Arg(8);
+BENCHMARK(BM_Decompose3DThreads)->Arg(1)->Arg(4)->Arg(8)
+    ->UseRealTime();
 
 }  // namespace

@@ -85,7 +85,8 @@ void BM_MlpForwardThreads(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2048);
   SetGlobalThreadCount(ambient);
 }
-BENCHMARK(BM_MlpForwardThreads)->Arg(1)->Arg(4)->Arg(8);
+BENCHMARK(BM_MlpForwardThreads)->Arg(1)->Arg(4)->Arg(8)
+    ->UseRealTime();
 
 void BM_TrainEpochThreads(benchmark::State& state) {
   const int ambient = GlobalThreadCount();
@@ -107,6 +108,7 @@ void BM_TrainEpochThreads(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2048);
   SetGlobalThreadCount(ambient);
 }
-BENCHMARK(BM_TrainEpochThreads)->Arg(1)->Arg(4)->Arg(8);
+BENCHMARK(BM_TrainEpochThreads)->Arg(1)->Arg(4)->Arg(8)
+    ->UseRealTime();
 
 }  // namespace

@@ -72,7 +72,8 @@ void BM_PipelineRoundTripThreads(benchmark::State& state) {
                           static_cast<int64_t>(data.size()));
   SetGlobalThreadCount(ambient);
 }
-BENCHMARK(BM_PipelineRoundTripThreads)->Arg(1)->Arg(4)->Arg(8);
+BENCHMARK(BM_PipelineRoundTripThreads)->Arg(1)->Arg(4)->Arg(8)
+    ->UseRealTime();
 
 void BM_RefactorThreads(benchmark::State& state) {
   const int ambient = GlobalThreadCount();
@@ -87,7 +88,8 @@ void BM_RefactorThreads(benchmark::State& state) {
                           static_cast<int64_t>(data.size()));
   SetGlobalThreadCount(ambient);
 }
-BENCHMARK(BM_RefactorThreads)->Arg(1)->Arg(4)->Arg(8);
+BENCHMARK(BM_RefactorThreads)->Arg(1)->Arg(4)->Arg(8)
+    ->UseRealTime();
 
 void BM_PlanOnly(benchmark::State& state) {
   const Array3Dd data = TestData(33);

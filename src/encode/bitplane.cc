@@ -48,8 +48,17 @@ int LevelExponent(const std::vector<double>& coefs) {
   return e;
 }
 
+// Width of one plane-vector row of the error-matrix kernel. Rows have a
+// constant trip count so the compiler vectorises over planes; a level
+// needs ceil(num_planes / kPlaneLanes) rows, so up to 64 prefix lengths.
+constexpr int kPlaneLanes = 32;
+constexpr int kMaxPlaneRows = 2;
+static_assert(kMaxPlaneRows * kPlaneLanes >= 60, "rows must cover 60 planes");
+
 // Per-chunk accumulator for the error matrix: entry b holds the running
 // max-abs / squared-error over the chunk's coefficients at prefix length b.
+// Both hold 1 + rows * kPlaneLanes entries; those past num_planes are
+// scratch lanes of the last row and never read.
 struct ErrorAccumulator {
   std::vector<double> max_abs;
   std::vector<double> sq_err;
@@ -138,42 +147,66 @@ inline void EmitBlock(const std::uint64_t* nb, std::size_t i0,
   }
 }
 
-// The per-coefficient error-matrix walk. Value-identical to the reference
-// loop in EncodeScalar: that loop recomputes rec = value * inv_scale and
-// d = |c - rec| unconditionally every plane, so doing the same here --
-// with the digit test folded into a branchless masked add -- feeds the
-// accumulators the exact same doubles in the exact same order. The digit
-// bits of typical coefficients are close to random, so a data-dependent
-// branch in this loop mispredicts about half the time; the masked add is
-// what makes stats collection run at memory speed.
-inline void AccumulateStats(const std::vector<double>& coefs,
-                            const std::uint64_t* nb, std::size_t lo,
-                            std::size_t hi, int num_planes, double inv_scale,
-                            ErrorAccumulator* acc) {
-  // Digit d of a nega-binary word contributes exactly (-2)^d.
-  std::int64_t signed_mag[64];
-  for (int d = 0; d < num_planes; ++d) {
-    const std::int64_t mag = std::int64_t{1} << d;
-    signed_mag[d] = (d & 1) ? -mag : mag;
+// Compiled once per x86-64 micro-architecture level; the dynamic loader
+// picks the widest clone the CPU supports (the v4 clone has the AVX-512
+// int64 -> double conversion the plane rows need). Every clone computes the
+// same doubles in the same order: the library is built with
+// -ffp-contract=off, so no clone fuses a multiply-add the others round
+// twice. ThreadSanitizer builds keep the single default body: with GCC 12
+// a TSan program crashes at load in the clones' ifunc resolver.
+#if defined(__x86_64__) && defined(__ELF__) && defined(__GNUC__) && \
+    !defined(__clang__) && __GNUC__ >= 11 && !defined(__SANITIZE_THREAD__) && \
+    defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define MGARDP_PLANE_CLONES \
+  __attribute__((target_clones("default", "arch=x86-64-v3", "arch=x86-64-v4")))
+#endif
+#endif
+#ifndef MGARDP_PLANE_CLONES
+#define MGARDP_PLANE_CLONES
+#endif
+
+// Adds coefficients [0, count) of a block to the error matrix. The prefix
+// value of a coefficient at length b is the nega-binary number made of its
+// top b digits, FromNegabinary(w & keep[b - 1]), so every prefix length is
+// independent of the others: each coefficient's prefix errors are computed
+// as plane-vector rows of kPlaneLanes lanes (no loop-carried value), then
+// folded into max_abs[b] / sq_err[b]. Coefficients are still visited in
+// order, so each sq_err[b] sums exactly the doubles the scalar per-plane
+// walk summed, in the same order: the result is bit-identical to it.
+MGARDP_PLANE_CLONES
+void AccumulateStats(const double* coefs, const std::uint64_t* nb,
+                     std::size_t count, int rows, const std::uint64_t* keep,
+                     double inv_scale, double* acc_max_abs,
+                     double* acc_sq_err) {
+  for (std::size_t i = 0; i < count; ++i) {
+    const double d0 = std::fabs(coefs[i]);
+    acc_max_abs[0] = std::max(acc_max_abs[0], d0);
+    acc_sq_err[0] += d0 * d0;
   }
-  double* const max_abs = acc->max_abs.data();
-  double* const sq_err = acc->sq_err.data();
-  for (std::size_t i = lo; i < hi; ++i) {
-    const std::uint64_t w = nb[i];
-    const double c = coefs[i];
-    std::int64_t value = 0;  // FromNegabinary of the kept digits
-    const double d0 = std::fabs(c);
-    max_abs[0] = std::max(max_abs[0], d0);
-    sq_err[0] += d0 * d0;
-    for (int b = 1; b <= num_planes; ++b) {
-      const int digit = num_planes - b;
-      const std::int64_t take =
-          -static_cast<std::int64_t>((w >> digit) & 1u);
-      value += signed_mag[digit] & take;
-      const double rec = static_cast<double>(value) * inv_scale;
-      const double d = std::fabs(c - rec);
-      max_abs[b] = std::max(max_abs[b], d);
-      sq_err[b] += d * d;
+  for (int r = 0; r < rows; ++r) {
+    const std::uint64_t* row_keep = keep + r * kPlaneLanes;
+    double* const row_max = acc_max_abs + 1 + r * kPlaneLanes;
+    double* const row_sq = acc_sq_err + 1 + r * kPlaneLanes;
+    double max_abs[kPlaneLanes], sq_err[kPlaneLanes];
+    for (int j = 0; j < kPlaneLanes; ++j) {
+      max_abs[j] = row_max[j];
+      sq_err[j] = row_sq[j];
+    }
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::uint64_t w = nb[i];
+      const double c = coefs[i];
+      for (int j = 0; j < kPlaneLanes; ++j) {
+        const double rec =
+            static_cast<double>(FromNegabinary(w & row_keep[j])) * inv_scale;
+        const double d = std::fabs(c - rec);
+        max_abs[j] = std::max(max_abs[j], d);
+        sq_err[j] += d * d;
+      }
+    }
+    for (int j = 0; j < kPlaneLanes; ++j) {
+      row_max[j] = max_abs[j];
+      row_sq[j] = sq_err[j];
     }
   }
 }
@@ -220,44 +253,49 @@ Result<BitplaneSet> BitplaneEncoder::Encode(const std::vector<double>& coefs,
     return set;
   }
 
-  stats->max_abs.assign(num_planes_ + 1, 0.0);
-  stats->mse.assign(num_planes_ + 1, 0.0);
-  const double inv_n = n == 0 ? 0.0 : 1.0 / static_cast<double>(n);
-  // Nega-binary digit b contributes exactly (-2)^b, so the prefix
-  // reconstruction is linear in the digits: each coefficient's value is
-  // tracked incrementally as planes are added, instead of re-deriving it
-  // from the partial digit string every plane. Coefficients are
-  // independent, so chunks of them reduce in parallel; the fixed grain
-  // plus ordered combine keeps the sums reproducible. Chunks are
-  // 64-aligned, so the plane-emitting blocks nest inside them.
-  ErrorAccumulator zero;
-  zero.max_abs.assign(num_planes_ + 1, 0.0);
-  zero.sq_err.assign(num_planes_ + 1, 0.0);
+  // keep[b - 1] selects the top b of the num_planes digits; the lanes past
+  // num_planes in the last row keep every digit and are discarded.
+  const int rows = (num_planes_ + kPlaneLanes - 1) / kPlaneLanes;
+  std::uint64_t keep[kMaxPlaneRows * kPlaneLanes] = {};
+  const std::uint64_t all_digits = (std::uint64_t{1} << num_planes_) - 1;
+  for (int b = 1; b <= rows * kPlaneLanes; ++b) {
+    keep[b - 1] = b >= num_planes_ ? all_digits
+                                   : all_digits & ~(all_digits >> b);
+  }
+  // Coefficients are independent, so chunks of them reduce in parallel;
+  // the fixed grain plus ordered combine keeps the sums reproducible.
+  // Chunks are 64-aligned, so the plane-emitting blocks nest inside them.
+  const std::size_t width = 1 + rows * kPlaneLanes;
+  const ErrorAccumulator zero{std::vector<double>(width, 0.0),
+                              std::vector<double>(width, 0.0)};
   ErrorAccumulator total = ParallelReduce<ErrorAccumulator>(
       0, n, kCoefGrain, zero,
       [&](std::size_t lo, std::size_t hi) {
-        ErrorAccumulator acc;
-        acc.max_abs.assign(num_planes_ + 1, 0.0);
-        acc.sq_err.assign(num_planes_ + 1, 0.0);
+        ErrorAccumulator acc = zero;
         for (std::size_t i0 = lo; i0 < hi; i0 += 64) {
           const std::size_t nblock = std::min<std::size_t>(64, hi - i0);
           EmitBlock(nb.data(), i0, nblock, num_planes_, &set.planes);
-          AccumulateStats(coefs, nb.data(), i0, i0 + nblock, num_planes_,
-                          inv_scale, &acc);
+          AccumulateStats(coefs.data() + i0, nb.data() + i0, nblock, rows,
+                          keep, inv_scale, acc.max_abs.data(),
+                          acc.sq_err.data());
         }
         return acc;
       },
-      [&](ErrorAccumulator a, ErrorAccumulator b) {
+      [&](ErrorAccumulator a, const ErrorAccumulator& b) {
         for (int i = 0; i <= num_planes_; ++i) {
           a.max_abs[i] = std::max(a.max_abs[i], b.max_abs[i]);
           a.sq_err[i] += b.sq_err[i];
         }
         return a;
       });
-  for (int b = 0; b <= num_planes_; ++b) {
-    stats->max_abs[b] = total.max_abs[b];
-    stats->mse[b] = total.sq_err[b] * inv_n;
+  const double inv_n = n == 0 ? 0.0 : 1.0 / static_cast<double>(n);
+  total.max_abs.resize(num_planes_ + 1);
+  total.sq_err.resize(num_planes_ + 1);
+  for (double& e : total.sq_err) {
+    e *= inv_n;
   }
+  stats->max_abs = std::move(total.max_abs);
+  stats->mse = std::move(total.sq_err);
   return set;
 }
 
@@ -362,111 +400,6 @@ Status ValidateBitplaneSet(const BitplaneSet& set, int prefix_planes) {
     }
   }
   return Status::OK();
-}
-
-void SlicePlanesScalar(const std::uint64_t* nb, std::size_t count,
-                       int num_planes, std::vector<std::string>* planes) {
-  for (int p = 0; p < num_planes; ++p) {
-    const int digit = num_planes - 1 - p;
-    std::string& plane = (*planes)[p];
-    for (std::size_t i = 0; i < count; ++i) {
-      if ((nb[i] >> digit) & 1u) {
-        plane[i >> 3] |= static_cast<char>(1u << (i & 7));
-      }
-    }
-  }
-}
-
-Result<BitplaneSet> EncodeScalar(const std::vector<double>& coefs,
-                                 int num_planes, LevelErrorStats* stats) {
-  MGARDP_CHECK(num_planes >= 2 && num_planes <= 60)
-      << "num_planes out of range";
-  BitplaneSet set;
-  set.num_planes = num_planes;
-  set.count = coefs.size();
-  set.exponent = LevelExponent(coefs);
-  set.planes.assign(num_planes, std::string(set.PlaneBytes(), '\0'));
-
-  const double scale = std::ldexp(1.0, num_planes - 2 - set.exponent);
-  const double inv_scale = 1.0 / scale;
-
-  std::vector<std::uint64_t> nb(coefs.size());
-  const std::size_t first_overflow =
-      QuantizeNegabinary(coefs, scale, num_planes, &nb);
-  if (first_overflow < coefs.size()) {
-    return OverflowError(coefs, first_overflow, num_planes, set.exponent);
-  }
-
-  SlicePlanesScalar(nb.data(), coefs.size(), num_planes, &set.planes);
-
-  if (stats != nullptr) {
-    stats->max_abs.assign(num_planes + 1, 0.0);
-    stats->mse.assign(num_planes + 1, 0.0);
-    const double inv_n =
-        coefs.empty() ? 0.0 : 1.0 / static_cast<double>(coefs.size());
-    ErrorAccumulator zero;
-    zero.max_abs.assign(num_planes + 1, 0.0);
-    zero.sq_err.assign(num_planes + 1, 0.0);
-    ErrorAccumulator total = ParallelReduce<ErrorAccumulator>(
-        0, coefs.size(), kCoefGrain, zero,
-        [&](std::size_t lo, std::size_t hi) {
-          ErrorAccumulator acc;
-          acc.max_abs.assign(num_planes + 1, 0.0);
-          acc.sq_err.assign(num_planes + 1, 0.0);
-          for (std::size_t i = lo; i < hi; ++i) {
-            std::int64_t value = 0;  // FromNegabinary of the kept digits
-            const double d0 = std::fabs(coefs[i]);
-            acc.max_abs[0] = std::max(acc.max_abs[0], d0);
-            acc.sq_err[0] += d0 * d0;
-            for (int b = 1; b <= num_planes; ++b) {
-              const int digit = num_planes - b;
-              if ((nb[i] >> digit) & 1u) {
-                const std::int64_t mag = std::int64_t{1} << digit;
-                value += (digit & 1) ? -mag : mag;
-              }
-              const double rec = static_cast<double>(value) * inv_scale;
-              const double d = std::fabs(coefs[i] - rec);
-              acc.max_abs[b] = std::max(acc.max_abs[b], d);
-              acc.sq_err[b] += d * d;
-            }
-          }
-          return acc;
-        },
-        [&](ErrorAccumulator a, ErrorAccumulator b) {
-          for (int i = 0; i <= num_planes; ++i) {
-            a.max_abs[i] = std::max(a.max_abs[i], b.max_abs[i]);
-            a.sq_err[i] += b.sq_err[i];
-          }
-          return a;
-        });
-    for (int b = 0; b <= num_planes; ++b) {
-      stats->max_abs[b] = total.max_abs[b];
-      stats->mse[b] = total.sq_err[b] * inv_n;
-    }
-  }
-  return set;
-}
-
-Result<std::vector<double>> DecodeScalar(const BitplaneSet& set,
-                                         int prefix_planes) {
-  MGARDP_RETURN_NOT_OK(ValidateBitplaneSet(set, prefix_planes));
-  const double inv_scale =
-      std::ldexp(1.0, set.exponent - (set.num_planes - 2));
-  std::vector<double> coefs(set.count);
-  ParallelFor(0, static_cast<std::size_t>(set.count), kCoefGrain,
-              [&](std::size_t lo, std::size_t hi) {
-                for (std::size_t i = lo; i < hi; ++i) {
-                  std::uint64_t nb = 0;
-                  for (int p = 0; p < prefix_planes; ++p) {
-                    if ((set.planes[p][i >> 3] >> (i & 7)) & 1) {
-                      nb |= std::uint64_t{1} << (set.num_planes - 1 - p);
-                    }
-                  }
-                  coefs[i] =
-                      static_cast<double>(FromNegabinary(nb)) * inv_scale;
-                }
-              });
-  return coefs;
 }
 
 }  // namespace internal

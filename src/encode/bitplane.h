@@ -11,10 +11,20 @@
 // coefficient words are transposed into plane-major machine words with a
 // 64x64 SWAR bit-matrix transpose (shift/mask butterflies), so every plane
 // is emitted/consumed 64 coefficients per instruction instead of one bit at
-// a time. The original scalar kernels survive behind `internal::` as the
-// reference implementation the cross-check tests compare against; both
-// paths produce bit-identical plane payloads, error matrices, and decoded
-// coefficients for any thread count.
+// a time.
+//
+// The error matrix is computed per coefficient as plane vectors: the prefix
+// value at length b is FromNegabinary(word & top-b-digit mask), which needs
+// no value carried from plane to plane, so all prefix errors of one
+// coefficient form fixed-width rows of 32 lanes that the compiler
+// vectorises. GCC builds for x86-64 compile the kernel for x86-64,
+// x86-64-v3 and x86-64-v4 and the loader picks the clone the CPU supports.
+// Coefficients are still summed one at a time in index order (per
+// 8192-coefficient chunk, chunks combined in order), and the library is
+// built with -ffp-contract=off so no clone fuses the multiply-adds, so the
+// error matrix is bit-identical on every CPU and thread count. tests/encode/
+// keeps the scalar reference kernels the cross-check tests pin payloads,
+// error matrices and decoded coefficients to.
 
 #ifndef MGARDP_ENCODE_BITPLANE_H_
 #define MGARDP_ENCODE_BITPLANE_H_
@@ -101,21 +111,6 @@ inline void Transpose64x64(std::uint64_t m[64]) {
 // Structural validation shared by Decode and the scalar reference: checks
 // num_planes, prefix range, plane count, and every present plane's size.
 Status ValidateBitplaneSet(const BitplaneSet& set, int prefix_planes);
-
-// Reference scalar kernels (the pre-word-parallel implementation). Used by
-// the cross-check tests and kept verbatim so any divergence in the fast
-// path is attributable.
-//
-// Slices nega-binary words into plane payloads one bit at a time.
-// `planes` must already hold num_planes strings of PlaneBytes() zero bytes.
-void SlicePlanesScalar(const std::uint64_t* nb, std::size_t count,
-                       int num_planes, std::vector<std::string>* planes);
-// Full scalar encode: quantize + slice + optional error matrix.
-Result<BitplaneSet> EncodeScalar(const std::vector<double>& coefs,
-                                 int num_planes, LevelErrorStats* stats);
-// Scalar decode, one plane bit per coefficient per iteration.
-Result<std::vector<double>> DecodeScalar(const BitplaneSet& set,
-                                         int prefix_planes);
 
 }  // namespace internal
 

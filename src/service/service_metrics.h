@@ -186,12 +186,9 @@ class ServiceMetrics {
   std::atomic<std::uint64_t> candidate_rejections_{0};
   std::atomic<std::uint64_t> model_rollbacks_{0};
   std::atomic<std::uint64_t> shadow_pairs_{0};
-  Histogram shadow_byte_ratio_;
 
   std::atomic<std::uint64_t> inference_rows_{0};
   std::atomic<std::uint64_t> inference_batches_{0};
-  Histogram inference_batch_rows_;
-  Histogram inference_queue_delay_ms_;
 
   std::atomic<std::uint64_t> requests_admitted_{0};
   std::atomic<std::uint64_t> requests_rejected_{0};
@@ -201,7 +198,11 @@ class ServiceMetrics {
   std::atomic<std::uint64_t> queue_depth_{0};
   std::atomic<std::uint64_t> queue_depth_peak_{0};
 
+  // Declared in the constructor's initialisation order.
   Histogram latency_ms_;
+  Histogram shadow_byte_ratio_;
+  Histogram inference_batch_rows_;
+  Histogram inference_queue_delay_ms_;
 };
 
 // Renders a metrics snapshot into a Prometheus exposition as

@@ -1,7 +1,9 @@
 #include "util/stats.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <sstream>
 
@@ -118,18 +120,25 @@ namespace {
 // smallest element of a multiset is a well-defined value, so the ranks end
 // up holding exactly what a full sort would put there, in O(n log ranks)
 // instead of O(n log n).
-void SelectRanks(std::vector<double>* v, std::size_t first, std::size_t last,
+void SelectRanks(std::uint64_t* keys, std::size_t first, std::size_t last,
                  const std::size_t* ranks, std::size_t num_ranks) {
   if (num_ranks == 0 || first >= last) {
     return;
   }
   const std::size_t mid = num_ranks / 2;
   const std::size_t r = ranks[mid];
-  std::nth_element(v->begin() + static_cast<std::ptrdiff_t>(first),
-                   v->begin() + static_cast<std::ptrdiff_t>(r),
-                   v->begin() + static_cast<std::ptrdiff_t>(last));
-  SelectRanks(v, first, r, ranks, mid);
-  SelectRanks(v, r + 1, last, ranks + mid + 1, num_ranks - mid - 1);
+  std::nth_element(keys + first, keys + r, keys + last);
+  SelectRanks(keys, first, r, ranks, mid);
+  SelectRanks(keys, r + 1, last, ranks + mid + 1, num_ranks - mid - 1);
+}
+
+// The radix digit of the selection: the top 16 bits of |v|'s IEEE-754
+// pattern. The sign bit is clear, so 2^15 buckets cover every |v|.
+constexpr int kBucketShift = 48;
+constexpr std::size_t kNumBuckets = std::size_t{1} << 15;
+
+inline std::uint64_t AbsKey(double v) {
+  return std::bit_cast<std::uint64_t>(std::fabs(v));
 }
 
 }  // namespace
@@ -137,35 +146,94 @@ void SelectRanks(std::vector<double>* v, std::size_t first, std::size_t last,
 std::vector<double> AbsQuantileSketch(const std::vector<double>& values,
                                       std::size_t bins) {
   MGARDP_CHECK_GT(bins, 0u);
-  std::vector<double> abs_vals(values.size());
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    abs_vals[i] = std::fabs(values[i]);
-  }
   std::vector<double> sketch(bins, 0.0);
-  if (abs_vals.empty()) {
+  const std::size_t n = values.size();
+  if (n == 0) {
     return sketch;
   }
-  // Each bin reads positions lo and lo + 1 of the sorted array; selecting
-  // just those ranks yields the same values as sorting everything.
+  // Each bin reads positions lo and lo + 1 of the sorted |values|;
+  // selecting just those ranks yields the same values as sorting
+  // everything.
   std::vector<std::size_t> ranks;
   ranks.reserve(2 * bins);
   for (std::size_t b = 0; b < bins; ++b) {
     const double q = (static_cast<double>(b) + 0.5) / static_cast<double>(bins);
-    const double pos = q * static_cast<double>(abs_vals.size() - 1);
+    const double pos = q * static_cast<double>(n - 1);
     const std::size_t lo = static_cast<std::size_t>(pos);
     ranks.push_back(lo);
-    ranks.push_back(std::min(lo + 1, abs_vals.size() - 1));
+    ranks.push_back(std::min(lo + 1, n - 1));
   }
   std::sort(ranks.begin(), ranks.end());
   ranks.erase(std::unique(ranks.begin(), ranks.end()), ranks.end());
-  SelectRanks(&abs_vals, 0, abs_vals.size(), ranks.data(), ranks.size());
+
+  // Non-negative doubles order like their bit patterns read as unsigned
+  // integers, so a histogram of the patterns' top bits tells which bucket
+  // holds each wanted rank. Only those buckets' keys are gathered, each
+  // bucket into its own segment of `keys`, and selected within.
+  std::vector<std::size_t> bucket(kNumBuckets, 0);
+  for (const double v : values) {
+    ++bucket[AbsKey(v) >> kBucketShift];
+  }
+  struct Segment {
+    std::size_t begin;      // offset in `keys`
+    std::size_t size;
+    std::size_t num_ranks;  // wanted ranks inside, a run of `ranks`
+  };
+  std::vector<Segment> segments;
+  std::vector<std::size_t> positions(ranks.size());  // rank -> keys index
+  constexpr std::size_t kSkip = static_cast<std::size_t>(-1);
+  std::size_t below = 0;  // |values| in the buckets before this one
+  std::size_t gathered = 0;
+  std::size_t r = 0;
+  for (std::size_t& slot : bucket) {
+    const std::size_t count = slot;
+    slot = kSkip;
+    if (r < ranks.size() && ranks[r] < below + count) {
+      Segment seg{gathered, count, 0};
+      for (; r < ranks.size() && ranks[r] < below + count; ++r) {
+        positions[r] = ranks[r] - below + gathered;
+        ++seg.num_ranks;
+      }
+      segments.push_back(seg);
+      slot = gathered;
+      gathered += count;
+    }
+    below += count;
+  }
+  // The gather is branchless: skipped buckets all write to the spare slot
+  // keys[gathered] and never advance. That slot exists only when some
+  // value is skipped, so `keys` never outgrows a copy of `values`.
+  for (std::size_t& slot : bucket) {
+    if (slot == kSkip) {
+      slot = gathered;
+    }
+  }
+  std::vector<std::uint64_t> keys(std::min(gathered + 1, n));
+  for (const double v : values) {
+    const std::uint64_t key = AbsKey(v);
+    std::size_t& slot = bucket[key >> kBucketShift];
+    keys[slot] = key;
+    slot += slot != gathered;
+  }
+  const std::size_t* seg_positions = positions.data();
+  for (const Segment& seg : segments) {
+    SelectRanks(keys.data(), seg.begin, seg.begin + seg.size, seg_positions,
+                seg.num_ranks);
+    seg_positions += seg.num_ranks;
+  }
+
+  const auto at_rank = [&](std::size_t rank) {
+    const std::size_t i = static_cast<std::size_t>(
+        std::lower_bound(ranks.begin(), ranks.end(), rank) - ranks.begin());
+    return std::bit_cast<double>(keys[positions[i]]);
+  };
   for (std::size_t b = 0; b < bins; ++b) {
     const double q = (static_cast<double>(b) + 0.5) / static_cast<double>(bins);
-    const double pos = q * static_cast<double>(abs_vals.size() - 1);
+    const double pos = q * static_cast<double>(n - 1);
     const std::size_t lo = static_cast<std::size_t>(pos);
-    const std::size_t hi = std::min(lo + 1, abs_vals.size() - 1);
+    const std::size_t hi = std::min(lo + 1, n - 1);
     const double frac = pos - static_cast<double>(lo);
-    sketch[b] = abs_vals[lo] * (1.0 - frac) + abs_vals[hi] * frac;
+    sketch[b] = at_rank(lo) * (1.0 - frac) + at_rank(hi) * frac;
   }
   return sketch;
 }

@@ -49,7 +49,11 @@ double Quantile(std::vector<double> values, double q);
 
 // Evenly spaced quantiles of |values|, used as a fixed-size sketch of a
 // coefficient distribution (E-MGARD encoder input). Returns `bins` values:
-// the (i+0.5)/bins quantiles of the absolute values, ascending.
+// the (i+0.5)/bins quantiles of the absolute values, ascending, exactly
+// (bit for bit) what Quantile's sort-and-interpolate gives. The order
+// statistics come from a radix select on the IEEE-754 bits of |v|: one
+// histogram pass over the top 16 bits finds the bucket of every wanted
+// rank, and only those buckets' values are gathered and partially sorted.
 std::vector<double> AbsQuantileSketch(const std::vector<double>& values,
                                       std::size_t bins);
 

@@ -111,7 +111,9 @@ TEST(MlpTest, SerializationRoundTrip) {
 }
 
 TEST(MlpTest, DeserializeRejectsGarbage) {
-  BinaryReader r("not a model");
+  // BinaryReader points into its buffer, so the string must outlive it.
+  const std::string garbage = "not a model";
+  BinaryReader r(garbage);
   Mlp mlp;
   EXPECT_FALSE(mlp.Deserialize(&r).ok());
 }

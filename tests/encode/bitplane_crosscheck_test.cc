@@ -1,18 +1,22 @@
 // Bit-identity cross-check of the word-parallel bit-plane kernels against
 // the scalar reference implementation (internal::EncodeScalar /
-// internal::DecodeScalar, the pre-transpose code kept verbatim), plus
-// corrupt-payload regression tests for DeserializeBitplaneSet and
-// Decode's shape validation.
+// internal::DecodeScalar in bitplane_reference.cc, the pre-transpose code
+// kept verbatim), plus corrupt-payload regression tests for
+// DeserializeBitplaneSet and Decode's shape validation.
 
 #include "encode/bitplane.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "bitplane_reference.h"
+#include "encode/negabinary.h"
 #include "util/rng.h"
 
 namespace mgardp {
@@ -109,7 +113,7 @@ TEST(BitplaneCrossCheck, OddCountsAndBlockBoundaries) {
                         std::size_t{64}, std::size_t{65}, std::size_t{127},
                         std::size_t{128}, std::size_t{8191},
                         std::size_t{8192}, std::size_t{8193},
-                        std::size_t{16384 + 37}}) {
+                        std::size_t{16384 + 37}, std::size_t{3 * 8192 + 37}}) {
     ExpectBitIdentical(RandomCoefs(n, 2.5, 7 * n + 3), 32);
   }
 }
@@ -124,6 +128,61 @@ TEST(BitplaneCrossCheck, AllZeroAndConstantLevels) {
 TEST(BitplaneCrossCheck, MixedMagnitudes) {
   ExpectBitIdentical({1e6, -1e-6, 0.0, 3.14159, -2.71828e3, 1e-200, -1e5},
                      48);
+}
+
+// Log-normal magnitudes with random signs: a few coefficients near the
+// level maximum set the exponent, most sit many binary orders below it.
+std::vector<double> HeavyTailedCoefs(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> v(n);
+  for (double& x : v) {
+    x = rng.NextGaussian() * std::exp(4.0 * rng.NextGaussian());
+  }
+  return v;
+}
+
+// Largest |prefix value| over every coefficient and prefix length, in
+// quantized units: the integers the error matrix converts to double.
+double MaxPrefixMagnitude(const std::vector<double>& coefs, int num_planes) {
+  BitplaneEncoder enc(num_planes);
+  auto set = enc.Encode(coefs, nullptr);
+  EXPECT_TRUE(set.ok());
+  const double scale =
+      std::ldexp(1.0, num_planes - 2 - set.value().exponent);
+  double max_mag = 0.0;
+  for (const double c : coefs) {
+    const std::uint64_t w = ToNegabinary(std::llround(c * scale));
+    for (int b = 1; b <= num_planes; ++b) {
+      const std::uint64_t keep = ~std::uint64_t{0} << (num_planes - b);
+      max_mag = std::max(
+          max_mag, std::fabs(static_cast<double>(FromNegabinary(w & keep))));
+    }
+  }
+  return max_mag;
+}
+
+TEST(BitplaneCrossCheck, PrefixValuesBeyondTwoToThe53) {
+  // Quantized values are bounded by 2^(num_planes - 2), so at 53 and 54
+  // planes the prefix values stay within 2^53 (exact as doubles), and from
+  // 55 planes the largest exceed it and their int64 -> double conversion
+  // rounds. The plane-vector kernel must round exactly as the scalar walk
+  // does on both sides of that edge, across several reduce chunks.
+  for (int num_planes : {53, 54, 55, 60}) {
+    auto coefs = HeavyTailedCoefs(3 * 8192 + 37, 500 + num_planes);
+    // A coefficient at 3/4 of the level's power-of-two bound quantizes
+    // above 2/3 * 2^(num_planes - 2), which sets the top digit, so its
+    // shortest prefixes reach 2^(num_planes - 1) or 2^(num_planes - 2).
+    double max_abs = 0.0;
+    for (const double c : coefs) {
+      max_abs = std::max(max_abs, std::fabs(c));
+    }
+    coefs[coefs.size() / 2] = 0.75 * std::exp2(std::ceil(std::log2(max_abs)));
+    if (num_planes >= 55) {
+      ASSERT_GT(MaxPrefixMagnitude(coefs, num_planes), std::ldexp(1.0, 53))
+          << "num_planes=" << num_planes;
+    }
+    ExpectBitIdentical(coefs, num_planes);
+  }
 }
 
 TEST(BitplaneCrossCheck, ThreadCountDoesNotChangeOutput) {

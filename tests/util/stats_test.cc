@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "util/rng.h"
 
@@ -106,6 +110,107 @@ TEST(StatsTest, AbsQuantileSketchEmptyInput) {
   for (double s : sketch) {
     EXPECT_EQ(s, 0.0);
   }
+}
+
+// The definition AbsQuantileSketch must reproduce: sort every |v|, then
+// interpolate between neighbouring order statistics.
+std::vector<double> SortedAbsSketch(const std::vector<double>& values,
+                                    std::size_t bins) {
+  std::vector<double> sorted(values.size());
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    sorted[i] = std::fabs(values[i]);
+  }
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<double> sketch(bins, 0.0);
+  if (sorted.empty()) {
+    return sketch;
+  }
+  for (std::size_t b = 0; b < bins; ++b) {
+    const double q = (static_cast<double>(b) + 0.5) / static_cast<double>(bins);
+    const double pos = q * static_cast<double>(sorted.size() - 1);
+    const std::size_t lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+    const double frac = pos - static_cast<double>(lo);
+    sketch[b] = sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+  }
+  return sketch;
+}
+
+// Bit-for-bit equality with the sort-based definition at several bin
+// counts, including more bins than values.
+void ExpectSketchExact(const std::vector<double>& values) {
+  SCOPED_TRACE("n=" + std::to_string(values.size()));
+  for (std::size_t bins : {std::size_t{1}, std::size_t{2}, std::size_t{7},
+                           std::size_t{32}, std::size_t{100}}) {
+    const auto got = AbsQuantileSketch(values, bins);
+    const auto want = SortedAbsSketch(values, bins);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t b = 0; b < bins; ++b) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[b]),
+                std::bit_cast<std::uint64_t>(want[b]))
+          << "bins=" << bins << " b=" << b << " got=" << got[b]
+          << " want=" << want[b];
+    }
+  }
+}
+
+TEST(StatsTest, AbsQuantileSketchMatchesSortSmallCounts) {
+  Rng rng(21);
+  for (std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                        std::size_t{63}, std::size_t{64}, std::size_t{65}}) {
+    std::vector<double> v(n);
+    for (double& x : v) {
+      x = rng.NextGaussian() * 10.0;
+    }
+    ExpectSketchExact(v);
+  }
+}
+
+TEST(StatsTest, AbsQuantileSketchMatchesSortDuplicatesAndConstants) {
+  Rng rng(22);
+  std::vector<double> few_values(5000);
+  for (double& x : few_values) {
+    x = static_cast<double>(static_cast<int>(rng.NextBounded(7)) - 3) * 0.25;
+  }
+  ExpectSketchExact(few_values);
+  ExpectSketchExact(std::vector<double>(1000, -2.5));
+  ExpectSketchExact(std::vector<double>(1000, 0.0));
+}
+
+TEST(StatsTest, AbsQuantileSketchMatchesSortSignedZerosAndDenormals) {
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  std::vector<double> v;
+  for (int i = 0; i < 300; ++i) {
+    v.push_back(i % 2 == 0 ? 0.0 : -0.0);
+    v.push_back((i % 3 == 0 ? -1.0 : 1.0) * denorm * (i % 17));
+    v.push_back(std::numeric_limits<double>::min() * (i % 5));
+    v.push_back(std::ldexp(1.0, -1030 + i % 40));
+  }
+  ExpectSketchExact(v);
+}
+
+TEST(StatsTest, AbsQuantileSketchMatchesSortAcrossMagnitudes) {
+  // ~600 binary orders of magnitude, so the values land in thousands of
+  // radix buckets; and a run packed inside one bucket, so the selection
+  // inside a bucket decides every rank.
+  Rng rng(23);
+  std::vector<double> wide(20000);
+  for (double& x : wide) {
+    const int exponent = static_cast<int>(rng.NextBounded(600)) - 300;
+    x = (rng.NextUint64() & 1 ? -1.0 : 1.0) *
+        std::ldexp(rng.Uniform(1.0, 2.0), exponent);
+  }
+  ExpectSketchExact(wide);
+  std::vector<double> one_bucket(20000);
+  for (double& x : one_bucket) {
+    x = 1.0 + rng.Uniform(0.0, 1.0 / 32.0);
+  }
+  ExpectSketchExact(one_bucket);
+  std::vector<double> gaussian(100000);
+  for (double& x : gaussian) {
+    x = rng.NextGaussian();
+  }
+  ExpectSketchExact(gaussian);
 }
 
 TEST(StatsTest, PearsonCorrelation) {
