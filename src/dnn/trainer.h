@@ -29,7 +29,7 @@ struct TrainConfig {
   // `log_fn` when set, else to stderr — background trainers pass their own
   // sink so progress never interleaves with serve-bench output.
   int log_every = 0;
-  std::function<void(const std::string&)> log_fn;
+  std::function<void(const std::string&)> log_fn = nullptr;
   // Early stopping: hold out this fraction of rows (shuffled, seeded) as a
   // validation set (0 disables). Training stops once the validation loss
   // has not improved for `patience` epochs, and the best-validation weights

@@ -1,6 +1,7 @@
 #include "obs/prom_export.h"
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <limits>
 
@@ -237,93 +238,6 @@ std::string RenderAuditPrometheus(const ErrorControlAuditor& auditor) {
   AppendBuildInfoMetrics(&writer);
   AppendAuditMetrics(auditor, &writer);
   return writer.str();
-}
-
-Status WritePromFile(const std::string& path, const std::string& content) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::IOError("prom export: cannot open " + tmp);
-  }
-  const std::size_t written =
-      content.empty() ? 0 : std::fwrite(content.data(), 1, content.size(), f);
-  const bool ok = written == content.size() && std::fclose(f) == 0;
-  if (!ok) {
-    std::remove(tmp.c_str());
-    return Status::IOError("prom export: short write to " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::IOError("prom export: cannot rename into " + path);
-  }
-  return Status::OK();
-}
-
-PeriodicPromFlusher::PeriodicPromFlusher(std::string path,
-                                         std::chrono::milliseconds interval,
-                                         std::function<std::string()> render)
-    : path_(std::move(path)),
-      interval_(interval),
-      render_(std::move(render)) {
-  MGARDP_CHECK(render_ != nullptr);
-  thread_ = std::thread([this] { Loop(); });
-}
-
-PeriodicPromFlusher::~PeriodicPromFlusher() {
-  const Status st = Stop();
-  (void)st;
-}
-
-void PeriodicPromFlusher::Loop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  while (!stop_) {
-    if (cv_.wait_for(lock, interval_, [this] { return stop_; })) {
-      break;
-    }
-    lock.unlock();
-    const Status st = FlushOnce();
-    lock.lock();
-    ++flushes_;
-    if (!st.ok() && last_error_.ok()) {
-      last_error_ = st;
-    }
-  }
-}
-
-Status PeriodicPromFlusher::FlushOnce() {
-  return WritePromFile(path_, render_());
-}
-
-Status PeriodicPromFlusher::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopped_) {
-      return last_error_;
-    }
-    stopped_ = true;
-    stop_ = true;
-  }
-  cv_.notify_all();
-  if (thread_.joinable()) {
-    thread_.join();
-  }
-  const Status st = FlushOnce();
-  std::lock_guard<std::mutex> lock(mu_);
-  ++flushes_;
-  if (!st.ok() && last_error_.ok()) {
-    last_error_ = st;
-  }
-  return last_error_;
-}
-
-std::uint64_t PeriodicPromFlusher::flushes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return flushes_;
-}
-
-Status PeriodicPromFlusher::last_error() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return last_error_;
 }
 
 }  // namespace obs

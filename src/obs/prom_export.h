@@ -20,26 +20,13 @@
 //   mgardp_audit_level_drift_window_mean_planes{model=...,level=...} gauge
 //   mgardp_audit_level_drift_window_max_abs_planes{...}              gauge
 //   mgardp_audit_level_drift_alert{...}                              gauge
-//
-// PeriodicPromFlusher is the snapshot sink for long-running services
-// (serve-bench --prom): a background thread renders and atomically
-// replaces the target file every interval, flushes once more on Stop(),
-// and shuts down cleanly from the destructor.
 
 #ifndef MGARDP_OBS_PROM_EXPORT_H_
 #define MGARDP_OBS_PROM_EXPORT_H_
 
-#include <chrono>
-#include <condition_variable>
-#include <cstdint>
-#include <functional>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
-
-#include "util/status.h"
 
 namespace mgardp {
 
@@ -88,47 +75,6 @@ void AppendAuditMetrics(const ErrorControlAuditor& auditor,
 
 // Convenience: the global-style one-shot exposition of one auditor.
 std::string RenderAuditPrometheus(const ErrorControlAuditor& auditor);
-
-// Writes `content` to `path` atomically (temp file + rename), so a
-// scraper never observes a half-written exposition.
-Status WritePromFile(const std::string& path, const std::string& content);
-
-class PeriodicPromFlusher {
- public:
-  // Renders `render()` into `path` every `interval` until Stop(). The
-  // first flush happens after one interval; Stop() always performs a
-  // final flush so the file reflects the end state.
-  PeriodicPromFlusher(std::string path, std::chrono::milliseconds interval,
-                      std::function<std::string()> render);
-  ~PeriodicPromFlusher();
-
-  PeriodicPromFlusher(const PeriodicPromFlusher&) = delete;
-  PeriodicPromFlusher& operator=(const PeriodicPromFlusher&) = delete;
-
-  // Idempotent: wakes the thread, joins it, and flushes one final time.
-  // Returns the status of the final write.
-  Status Stop();
-
-  std::uint64_t flushes() const;
-  // First write error observed by the background thread (OK if none).
-  Status last_error() const;
-
- private:
-  void Loop();
-  Status FlushOnce();
-
-  const std::string path_;
-  const std::chrono::milliseconds interval_;
-  const std::function<std::string()> render_;
-
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  bool stopped_ = false;
-  std::uint64_t flushes_ = 0;
-  Status last_error_;
-  std::thread thread_;
-};
 
 }  // namespace obs
 }  // namespace mgardp

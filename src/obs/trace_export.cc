@@ -6,7 +6,6 @@
 
 #include "obs/tracer.h"
 #include "util/io.h"
-#include "util/logging.h"
 
 namespace mgardp {
 namespace obs {
@@ -153,87 +152,6 @@ std::string ToChromeRequestLanesJson(
 Status WriteRequestTraces(const RequestTraceRecorder& recorder,
                           const std::string& path) {
   return WriteFileAtomic(path, ToChromeRequestLanesJson(recorder.retained()));
-}
-
-PeriodicTraceFlusher::PeriodicTraceFlusher(const Tracer* tracer,
-                                           std::string path)
-    : PeriodicTraceFlusher(tracer, std::move(path), Options()) {}
-
-PeriodicTraceFlusher::PeriodicTraceFlusher(const Tracer* tracer,
-                                           std::string path, Options options)
-    : tracer_(tracer), path_(std::move(path)), options_(options) {
-  MGARDP_CHECK(tracer_ != nullptr);
-  thread_ = std::thread([this] { Loop(); });
-}
-
-PeriodicTraceFlusher::~PeriodicTraceFlusher() {
-  const Status st = Stop();
-  (void)st;
-}
-
-void PeriodicTraceFlusher::Loop() {
-  auto last_flush = std::chrono::steady_clock::now();
-  std::uint64_t events_at_last_flush = tracer_->num_events();
-  std::unique_lock<std::mutex> lock(mu_);
-  while (!stop_) {
-    if (cv_.wait_for(lock, options_.poll, [this] { return stop_; })) {
-      break;
-    }
-    const auto now = std::chrono::steady_clock::now();
-    const std::uint64_t events = tracer_->num_events();
-    const bool interval_due = now - last_flush >= options_.interval;
-    const bool size_due =
-        options_.flush_event_delta > 0 &&
-        events - events_at_last_flush >= options_.flush_event_delta;
-    if (!interval_due && !size_due) {
-      continue;
-    }
-    lock.unlock();
-    const Status st = FlushOnce();
-    lock.lock();
-    last_flush = now;
-    events_at_last_flush = events;
-    ++flushes_;
-    if (!st.ok() && last_error_.ok()) {
-      last_error_ = st;
-    }
-  }
-}
-
-Status PeriodicTraceFlusher::FlushOnce() {
-  return WriteChromeTrace(*tracer_, path_);
-}
-
-Status PeriodicTraceFlusher::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopped_) {
-      return last_error_;
-    }
-    stopped_ = true;
-    stop_ = true;
-  }
-  cv_.notify_all();
-  if (thread_.joinable()) {
-    thread_.join();
-  }
-  const Status st = FlushOnce();
-  std::lock_guard<std::mutex> lock(mu_);
-  ++flushes_;
-  if (!st.ok() && last_error_.ok()) {
-    last_error_ = st;
-  }
-  return last_error_;
-}
-
-std::uint64_t PeriodicTraceFlusher::flushes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return flushes_;
-}
-
-Status PeriodicTraceFlusher::last_error() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return last_error_;
 }
 
 }  // namespace obs

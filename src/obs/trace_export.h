@@ -15,21 +15,11 @@
 // per line to keep that parse trivial). Batch spans carry their span links
 // (the trace ids of every request that joined the shared work) in
 // args.links.
-//
-// PeriodicTraceFlusher mirrors PeriodicPromFlusher: long-running runs get
-// their timeline rewritten atomically (temp + rename) on an interval AND
-// whenever enough new events accumulated, instead of only at exit — a
-// crash mid-bench loses at most one flush window of spans.
 
 #ifndef MGARDP_OBS_TRACE_EXPORT_H_
 #define MGARDP_OBS_TRACE_EXPORT_H_
 
-#include <chrono>
-#include <condition_variable>
-#include <cstdint>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "obs/request_trace.h"
@@ -56,50 +46,6 @@ std::string ToChromeRequestLanesJson(
 // Snapshots `recorder`'s retained records and writes the lanes to `path`.
 Status WriteRequestTraces(const RequestTraceRecorder& recorder,
                           const std::string& path);
-
-// Background flush for the Chrome-trace export: rewrites `path` every
-// `interval`, or as soon as `flush_event_delta` new timeline events have
-// accumulated since the last flush (checked every `poll`), whichever
-// comes first. Stop() (and the destructor) performs one final flush.
-class PeriodicTraceFlusher {
- public:
-  struct Options {
-    std::chrono::milliseconds interval{1000};
-    std::uint64_t flush_event_delta = 4096;
-    std::chrono::milliseconds poll{50};
-  };
-
-  PeriodicTraceFlusher(const Tracer* tracer, std::string path);
-  PeriodicTraceFlusher(const Tracer* tracer, std::string path,
-                       Options options);
-  ~PeriodicTraceFlusher();
-
-  PeriodicTraceFlusher(const PeriodicTraceFlusher&) = delete;
-  PeriodicTraceFlusher& operator=(const PeriodicTraceFlusher&) = delete;
-
-  // Idempotent: joins the thread and flushes one final time. Returns the
-  // first error observed (OK if none).
-  Status Stop();
-
-  std::uint64_t flushes() const;
-  Status last_error() const;
-
- private:
-  void Loop();
-  Status FlushOnce();
-
-  const Tracer* tracer_;
-  const std::string path_;
-  const Options options_;
-
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  bool stopped_ = false;
-  std::uint64_t flushes_ = 0;
-  Status last_error_;
-  std::thread thread_;
-};
 
 }  // namespace obs
 }  // namespace mgardp

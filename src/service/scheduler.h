@@ -79,10 +79,10 @@ class RetrievalScheduler {
     RetrievalSession* session = nullptr;
     double error_bound = 0.0;
     double deadline_ms = 0.0;   // 0: use the scheduler default
-    std::string tenant;         // "" is itself a (shared) tenant
+    std::string tenant{};       // "" is itself a (shared) tenant
     // Opaque caller annotation carried on the request's trace (e.g. a
     // client-side correlation key); empty stays off the wire.
-    std::string baggage;
+    std::string baggage{};
   };
 
   struct Response {

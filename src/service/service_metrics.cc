@@ -32,103 +32,325 @@ ServiceMetrics::ServiceMetrics()
       inference_queue_delay_ms_(Histogram::Options{1e-3, 1.25, 96}) {}
 
 void ServiceMetrics::OnCacheHit(std::size_t bytes) {
-  cache_hits_.fetch_add(1, kRelaxed);
-  cache_hit_bytes_.fetch_add(bytes, kRelaxed);
+  Add(kCacheHits, 1);
+  Add(kCacheHitBytes, bytes);
 }
 
 void ServiceMetrics::OnCacheMiss(std::size_t bytes) {
-  cache_misses_.fetch_add(1, kRelaxed);
-  cache_miss_bytes_.fetch_add(bytes, kRelaxed);
+  Add(kCacheMisses, 1);
+  Add(kCacheMissBytes, bytes);
 }
 
 void ServiceMetrics::OnCacheEvict(std::size_t bytes) {
-  cache_evictions_.fetch_add(1, kRelaxed);
-  cache_evicted_bytes_.fetch_add(bytes, kRelaxed);
+  Add(kCacheEvictions, 1);
+  Add(kCacheEvictedBytes, bytes);
 }
 
 void ServiceMetrics::OnSingleFlightShared(std::size_t bytes) {
-  single_flight_shared_.fetch_add(1, kRelaxed);
-  single_flight_shared_bytes_.fetch_add(bytes, kRelaxed);
+  Add(kSingleFlightShared, 1);
+  Add(kSingleFlightSharedBytes, bytes);
 }
 
 void ServiceMetrics::OnPlanesFetched(int planes, std::size_t bytes) {
-  planes_fetched_.fetch_add(static_cast<std::uint64_t>(planes), kRelaxed);
-  fetched_bytes_.fetch_add(bytes, kRelaxed);
+  Add(kPlanesFetched, static_cast<std::uint64_t>(planes));
+  Add(kFetchedBytes, bytes);
 }
 
 void ServiceMetrics::OnPlanesReused(int planes, std::size_t bytes) {
-  planes_reused_.fetch_add(static_cast<std::uint64_t>(planes), kRelaxed);
-  reused_bytes_.fetch_add(bytes, kRelaxed);
+  Add(kPlanesReused, static_cast<std::uint64_t>(planes));
+  Add(kReusedBytes, bytes);
 }
 
-void ServiceMetrics::OnNoopRefinement() {
-  noop_refinements_.fetch_add(1, kRelaxed);
-}
+void ServiceMetrics::OnNoopRefinement() { Add(kNoopRefinements, 1); }
 
 void ServiceMetrics::OnRetries(int n) {
   if (n > 0) {
-    retries_total_.fetch_add(static_cast<std::uint64_t>(n), kRelaxed);
+    Add(kRetries, static_cast<std::uint64_t>(n));
   }
 }
 
-void ServiceMetrics::OnFailover() { failovers_total_.fetch_add(1, kRelaxed); }
+void ServiceMetrics::OnFailover() { Add(kFailovers, 1); }
 
-void ServiceMetrics::OnReplicaLost() {
-  replicas_lost_.fetch_add(1, kRelaxed);
-}
+void ServiceMetrics::OnReplicaLost() { Add(kReplicasLost, 1); }
 
-void ServiceMetrics::OnRetrain() { retrains_total_.fetch_add(1, kRelaxed); }
+void ServiceMetrics::OnRetrain() { Add(kRetrains, 1); }
 
-void ServiceMetrics::OnModelPromoted() {
-  model_promotions_.fetch_add(1, kRelaxed);
-}
+void ServiceMetrics::OnModelPromoted() { Add(kModelPromotions, 1); }
 
-void ServiceMetrics::OnCandidateRejected() {
-  candidate_rejections_.fetch_add(1, kRelaxed);
-}
+void ServiceMetrics::OnCandidateRejected() { Add(kCandidateRejections, 1); }
 
-void ServiceMetrics::OnModelRolledBack() {
-  model_rollbacks_.fetch_add(1, kRelaxed);
-}
+void ServiceMetrics::OnModelRolledBack() { Add(kModelRollbacks, 1); }
 
 void ServiceMetrics::OnShadowPair(double byte_ratio) {
-  shadow_pairs_.fetch_add(1, kRelaxed);
+  Add(kShadowPairs, 1);
   if (byte_ratio > 0.0) {
     shadow_byte_ratio_.Record(byte_ratio);
   }
 }
 
-void ServiceMetrics::OnInferenceRows(std::size_t n) {
-  inference_rows_.fetch_add(n, kRelaxed);
-}
+void ServiceMetrics::OnInferenceRows(std::size_t n) { Add(kInferenceRows, n); }
 
 void ServiceMetrics::OnInferenceBatch(std::size_t batch_size,
                                       double queue_delay_ms) {
-  inference_batches_.fetch_add(1, kRelaxed);
+  Add(kInferenceBatches, 1);
   inference_batch_rows_.Record(static_cast<double>(batch_size));
   inference_queue_delay_ms_.Record(std::max(queue_delay_ms, 0.0));
 }
 
 void ServiceMetrics::OnAdmitted(std::size_t queue_depth_now) {
-  requests_admitted_.fetch_add(1, kRelaxed);
-  queue_depth_.store(queue_depth_now, kRelaxed);
-  AtomicPeak(&queue_depth_peak_, queue_depth_now);
+  Add(kRequestsAdmitted, 1);
+  counters_[kQueueDepth].store(queue_depth_now, kRelaxed);
+  AtomicPeak(&counters_[kQueueDepthPeak], queue_depth_now);
 }
 
-void ServiceMetrics::OnRejected() {
-  requests_rejected_.fetch_add(1, kRelaxed);
-}
+void ServiceMetrics::OnRejected() { Add(kRequestsRejected, 1); }
 
 void ServiceMetrics::OnStarted(std::size_t batch_size,
                                std::size_t queue_depth_now) {
-  requests_started_.fetch_add(batch_size, kRelaxed);
-  queue_depth_.store(queue_depth_now, kRelaxed);
+  Add(kRequestsStarted, batch_size);
+  counters_[kQueueDepth].store(queue_depth_now, kRelaxed);
 }
 
 void ServiceMetrics::OnCompleted(bool ok, double latency_ms) {
-  (ok ? requests_completed_ : requests_failed_).fetch_add(1, kRelaxed);
+  Add(ok ? kRequestsCompleted : kRequestsFailed, 1);
   latency_ms_.Record(latency_ms);
 }
+
+namespace {
+
+// The statistics a histogram contributes to the snapshot.
+enum class Stat { kCount, kMean, kMax, kP50, kP90, kP99, kP999 };
+
+double Statistic(const Histogram& h, Stat stat) {
+  switch (stat) {
+    case Stat::kCount:
+      return static_cast<double>(h.count());
+    case Stat::kMean:
+      return h.count() == 0 ? 0.0
+                            : h.sum() / static_cast<double>(h.count());
+    case Stat::kMax:
+      return h.max();
+    case Stat::kP50:
+      return h.Quantile(0.50);
+    case Stat::kP90:
+      return h.Quantile(0.90);
+    case Stat::kP99:
+      return h.Quantile(0.99);
+    case Stat::kP999:
+      return h.Quantile(0.999);
+  }
+  return 0.0;
+}
+
+}  // namespace
+
+struct ServiceMetrics::Metric {
+  const char* json;  // JSON key, and the name of the Snapshot field
+  const char* prom;  // Prometheus family name
+  const char* type;  // Prometheus type: "counter" or "gauge"
+  const char* help;
+  // Source: a counter, a histogram statistic, or neither for a value the
+  // Snapshot derives from its other fields.
+  Counter counter = kNumCounters;
+  Histogram ServiceMetrics::*histogram = nullptr;
+  Stat stat = Stat::kCount;
+  // Destination: exactly one of these is set.
+  std::uint64_t Snapshot::*u64 = nullptr;
+  double Snapshot::*f64 = nullptr;
+  double (Snapshot::*derived)() const = nullptr;
+
+  double Value(const Snapshot& s) const {
+    return u64 != nullptr   ? static_cast<double>(s.*u64)
+           : f64 != nullptr ? s.*f64
+                            : (s.*derived)();
+  }
+};
+
+// Rows in JSON key order.
+const ServiceMetrics::Metric ServiceMetrics::kMetrics[] = {
+    {.json = "cache_hits", .prom = "mgardp_service_cache_hits_total",
+     .type = "counter", .help = "Segment cache hits.", .counter = kCacheHits,
+     .u64 = &Snapshot::cache_hits},
+    {.json = "cache_misses", .prom = "mgardp_service_cache_misses_total",
+     .type = "counter", .help = "Segment cache misses (backend fills).",
+     .counter = kCacheMisses, .u64 = &Snapshot::cache_misses},
+    {.json = "cache_hit_bytes", .prom = "mgardp_service_cache_hit_bytes_total",
+     .type = "counter", .help = "Bytes served from the segment cache.",
+     .counter = kCacheHitBytes, .u64 = &Snapshot::cache_hit_bytes},
+    {.json = "cache_miss_bytes",
+     .prom = "mgardp_service_cache_miss_bytes_total", .type = "counter",
+     .help = "Bytes read from the backend on cache misses.",
+     .counter = kCacheMissBytes, .u64 = &Snapshot::cache_miss_bytes},
+    {.json = "cache_evictions", .prom = "mgardp_service_cache_evictions_total",
+     .type = "counter", .help = "Segment cache evictions.",
+     .counter = kCacheEvictions, .u64 = &Snapshot::cache_evictions},
+    {.json = "cache_evicted_bytes",
+     .prom = "mgardp_service_cache_evicted_bytes_total", .type = "counter",
+     .help = "Bytes evicted from the segment cache.",
+     .counter = kCacheEvictedBytes, .u64 = &Snapshot::cache_evicted_bytes},
+    {.json = "single_flight_shared",
+     .prom = "mgardp_service_single_flight_shared_total", .type = "counter",
+     .help = "Fetches deduplicated onto an identical in-flight one.",
+     .counter = kSingleFlightShared, .u64 = &Snapshot::single_flight_shared},
+    {.json = "single_flight_shared_bytes",
+     .prom = "mgardp_service_single_flight_shared_bytes_total",
+     .type = "counter",
+     .help = "Bytes served by fetches deduplicated onto an in-flight one.",
+     .counter = kSingleFlightSharedBytes,
+     .u64 = &Snapshot::single_flight_shared_bytes},
+    {.json = "cache_hit_rate", .prom = "mgardp_service_cache_hit_rate",
+     .type = "gauge",
+     .help = "Fraction of cache lookups that avoided the backend.",
+     .derived = &Snapshot::cache_hit_rate},
+    {.json = "planes_fetched", .prom = "mgardp_service_planes_fetched_total",
+     .type = "counter",
+     .help = "Bit-planes fetched from the backend by sessions.",
+     .counter = kPlanesFetched, .u64 = &Snapshot::planes_fetched},
+    {.json = "planes_reused", .prom = "mgardp_service_planes_reused_total",
+     .type = "counter",
+     .help = "Bit-planes reused from session or shared cache.",
+     .counter = kPlanesReused, .u64 = &Snapshot::planes_reused},
+    {.json = "fetched_bytes", .prom = "mgardp_service_fetched_bytes_total",
+     .type = "counter", .help = "Bytes fetched from the backend by sessions.",
+     .counter = kFetchedBytes, .u64 = &Snapshot::fetched_bytes},
+    {.json = "reused_bytes", .prom = "mgardp_service_reused_bytes_total",
+     .type = "counter", .help = "Bytes reused without touching the backend.",
+     .counter = kReusedBytes, .u64 = &Snapshot::reused_bytes},
+    {.json = "noop_refinements",
+     .prom = "mgardp_service_noop_refinements_total", .type = "counter",
+     .help = "Refinements satisfied by the reconstruction already in hand.",
+     .counter = kNoopRefinements, .u64 = &Snapshot::noop_refinements},
+    {.json = "retries_total", .prom = "mgardp_service_retries_total",
+     .type = "counter", .help = "Transient-fault segment read retries.",
+     .counter = kRetries, .u64 = &Snapshot::retries_total},
+    {.json = "failovers_total", .prom = "mgardp_service_failovers_total",
+     .type = "counter", .help = "Reads served by a non-primary replica.",
+     .counter = kFailovers, .u64 = &Snapshot::failovers_total},
+    {.json = "replicas_lost", .prom = "mgardp_service_replicas_lost_total",
+     .type = "counter",
+     .help = "Reads that found no live replica (permanent loss).",
+     .counter = kReplicasLost, .u64 = &Snapshot::replicas_lost},
+    {.json = "retrains_total", .prom = "mgardp_service_retrains_total",
+     .type = "counter",
+     .help = "Background model refits that published a candidate.",
+     .counter = kRetrains, .u64 = &Snapshot::retrains_total},
+    {.json = "model_promotions",
+     .prom = "mgardp_service_model_promotions_total", .type = "counter",
+     .help = "Shadow-winning candidates promoted to serving.",
+     .counter = kModelPromotions, .u64 = &Snapshot::model_promotions},
+    {.json = "candidate_rejections",
+     .prom = "mgardp_service_candidate_rejections_total", .type = "counter",
+     .help = "Shadow-losing candidates retired without serving.",
+     .counter = kCandidateRejections, .u64 = &Snapshot::candidate_rejections},
+    {.json = "model_rollbacks", .prom = "mgardp_service_model_rollbacks_total",
+     .type = "counter",
+     .help = "Automatic rollbacks after post-promotion regression.",
+     .counter = kModelRollbacks, .u64 = &Snapshot::model_rollbacks},
+    {.json = "shadow_pairs", .prom = "mgardp_service_shadow_pairs_total",
+     .type = "counter",
+     .help = "Live requests scored under both incumbent and candidate.",
+     .counter = kShadowPairs, .u64 = &Snapshot::shadow_pairs},
+    {.json = "shadow_byte_ratio_p50",
+     .prom = "mgardp_service_shadow_byte_ratio_p50", .type = "gauge",
+     .help = "Median candidate/incumbent fetched-byte ratio while shadowing.",
+     .histogram = &ServiceMetrics::shadow_byte_ratio_, .stat = Stat::kP50,
+     .f64 = &Snapshot::shadow_byte_ratio_p50},
+    {.json = "shadow_byte_ratio_p90",
+     .prom = "mgardp_service_shadow_byte_ratio_p90", .type = "gauge",
+     .help = "90th-percentile candidate/incumbent fetched-byte ratio.",
+     .histogram = &ServiceMetrics::shadow_byte_ratio_, .stat = Stat::kP90,
+     .f64 = &Snapshot::shadow_byte_ratio_p90},
+    {.json = "shadow_byte_ratio_mean",
+     .prom = "mgardp_service_shadow_byte_ratio_mean", .type = "gauge",
+     .help = "Mean candidate/incumbent fetched-byte ratio while shadowing.",
+     .histogram = &ServiceMetrics::shadow_byte_ratio_, .stat = Stat::kMean,
+     .f64 = &Snapshot::shadow_byte_ratio_mean},
+    {.json = "inference_rows", .prom = "mgardp_service_inference_rows_total",
+     .type = "counter",
+     .help = "Model-prediction rows requested (batched or not).",
+     .counter = kInferenceRows, .u64 = &Snapshot::inference_rows},
+    {.json = "inference_batches",
+     .prom = "mgardp_service_inference_batches_total", .type = "counter",
+     .help = "Coalesced inference batches executed.",
+     .counter = kInferenceBatches, .u64 = &Snapshot::inference_batches},
+    {.json = "inference_batch_rows_mean",
+     .prom = "mgardp_service_inference_batch_rows_mean", .type = "gauge",
+     .help = "Mean rows per coalesced inference batch.",
+     .histogram = &ServiceMetrics::inference_batch_rows_, .stat = Stat::kMean,
+     .f64 = &Snapshot::inference_batch_rows_mean},
+    {.json = "inference_batch_rows_max",
+     .prom = "mgardp_service_inference_batch_rows_max", .type = "gauge",
+     .help = "Largest coalesced inference batch.",
+     .histogram = &ServiceMetrics::inference_batch_rows_, .stat = Stat::kMax,
+     .f64 = &Snapshot::inference_batch_rows_max},
+    {.json = "inference_queue_delay_p50_ms",
+     .prom = "mgardp_service_inference_queue_delay_ms_p50", .type = "gauge",
+     .help = "Median batching delay of the oldest row per batch (ms).",
+     .histogram = &ServiceMetrics::inference_queue_delay_ms_,
+     .stat = Stat::kP50, .f64 = &Snapshot::inference_queue_delay_p50_ms},
+    {.json = "inference_queue_delay_p99_ms",
+     .prom = "mgardp_service_inference_queue_delay_ms_p99", .type = "gauge",
+     .help = "99th-percentile inference batching delay (ms).",
+     .histogram = &ServiceMetrics::inference_queue_delay_ms_,
+     .stat = Stat::kP99, .f64 = &Snapshot::inference_queue_delay_p99_ms},
+    {.json = "inference_queue_delay_max_ms",
+     .prom = "mgardp_service_inference_queue_delay_ms_max", .type = "gauge",
+     .help = "Largest inference batching delay (ms).",
+     .histogram = &ServiceMetrics::inference_queue_delay_ms_,
+     .stat = Stat::kMax, .f64 = &Snapshot::inference_queue_delay_max_ms},
+    {.json = "requests_admitted",
+     .prom = "mgardp_service_requests_admitted_total", .type = "counter",
+     .help = "Requests admitted by the scheduler.",
+     .counter = kRequestsAdmitted, .u64 = &Snapshot::requests_admitted},
+    {.json = "requests_rejected",
+     .prom = "mgardp_service_requests_rejected_total", .type = "counter",
+     .help = "Requests rejected at admission.", .counter = kRequestsRejected,
+     .u64 = &Snapshot::requests_rejected},
+    {.json = "requests_started",
+     .prom = "mgardp_service_requests_started_total", .type = "counter",
+     .help = "Admitted requests whose processing began.",
+     .counter = kRequestsStarted, .u64 = &Snapshot::requests_started},
+    {.json = "requests_completed",
+     .prom = "mgardp_service_requests_completed_total", .type = "counter",
+     .help = "Requests completed successfully.", .counter = kRequestsCompleted,
+     .u64 = &Snapshot::requests_completed},
+    {.json = "requests_failed", .prom = "mgardp_service_requests_failed_total",
+     .type = "counter", .help = "Requests that completed with an error.",
+     .counter = kRequestsFailed, .u64 = &Snapshot::requests_failed},
+    {.json = "queue_depth", .prom = "mgardp_service_queue_depth",
+     .type = "gauge",
+     .help = "Scheduler queue depth at the last admission/start event.",
+     .counter = kQueueDepth, .u64 = &Snapshot::queue_depth},
+    {.json = "queue_depth_peak", .prom = "mgardp_service_queue_depth_peak",
+     .type = "gauge", .help = "Peak scheduler queue depth since reset.",
+     .counter = kQueueDepthPeak, .u64 = &Snapshot::queue_depth_peak},
+    {.json = "latency_count",
+     .prom = "mgardp_service_request_latency_samples_total", .type = "counter",
+     .help = "Request latencies recorded (completed and failed).",
+     .histogram = &ServiceMetrics::latency_ms_, .stat = Stat::kCount,
+     .u64 = &Snapshot::latency_count},
+    {.json = "latency_p50_ms", .prom = "mgardp_service_request_latency_ms_p50",
+     .type = "gauge", .help = "Median request latency (ms).",
+     .histogram = &ServiceMetrics::latency_ms_, .stat = Stat::kP50,
+     .f64 = &Snapshot::latency_p50_ms},
+    {.json = "latency_p90_ms", .prom = "mgardp_service_request_latency_ms_p90",
+     .type = "gauge", .help = "90th-percentile request latency (ms).",
+     .histogram = &ServiceMetrics::latency_ms_, .stat = Stat::kP90,
+     .f64 = &Snapshot::latency_p90_ms},
+    {.json = "latency_p99_ms", .prom = "mgardp_service_request_latency_ms_p99",
+     .type = "gauge", .help = "99th-percentile request latency (ms).",
+     .histogram = &ServiceMetrics::latency_ms_, .stat = Stat::kP99,
+     .f64 = &Snapshot::latency_p99_ms},
+    {.json = "latency_p999_ms",
+     .prom = "mgardp_service_request_latency_ms_p999", .type = "gauge",
+     .help = "99.9th-percentile request latency (ms).",
+     .histogram = &ServiceMetrics::latency_ms_, .stat = Stat::kP999,
+     .f64 = &Snapshot::latency_p999_ms},
+    {.json = "latency_max_ms", .prom = "mgardp_service_request_latency_ms_max",
+     .type = "gauge", .help = "Maximum request latency (ms).",
+     .histogram = &ServiceMetrics::latency_ms_, .stat = Stat::kMax,
+     .f64 = &Snapshot::latency_max_ms},
+};
 
 double ServiceMetrics::Snapshot::cache_hit_rate() const {
   const std::uint64_t reused = cache_hits + single_flight_shared;
@@ -139,73 +361,19 @@ double ServiceMetrics::Snapshot::cache_hit_rate() const {
 }
 
 std::string ServiceMetrics::Snapshot::ToJson() const {
-  char buf[4096];
-  std::snprintf(
-      buf, sizeof(buf),
-      "{\"cache_hits\":%llu,\"cache_misses\":%llu,"
-      "\"cache_hit_bytes\":%llu,\"cache_miss_bytes\":%llu,"
-      "\"cache_evictions\":%llu,\"cache_evicted_bytes\":%llu,"
-      "\"single_flight_shared\":%llu,\"single_flight_shared_bytes\":%llu,"
-      "\"cache_hit_rate\":%.6f,"
-      "\"planes_fetched\":%llu,\"planes_reused\":%llu,"
-      "\"fetched_bytes\":%llu,\"reused_bytes\":%llu,"
-      "\"noop_refinements\":%llu,"
-      "\"retries_total\":%llu,\"failovers_total\":%llu,"
-      "\"replicas_lost\":%llu,"
-      "\"retrains_total\":%llu,\"model_promotions\":%llu,"
-      "\"candidate_rejections\":%llu,\"model_rollbacks\":%llu,"
-      "\"shadow_pairs\":%llu,\"shadow_byte_ratio_p50\":%.6f,"
-      "\"shadow_byte_ratio_p90\":%.6f,\"shadow_byte_ratio_mean\":%.6f,"
-      "\"inference_rows\":%llu,\"inference_batches\":%llu,"
-      "\"inference_batch_rows_mean\":%.6f,\"inference_batch_rows_max\":%.6f,"
-      "\"inference_queue_delay_p50_ms\":%.6f,"
-      "\"inference_queue_delay_p99_ms\":%.6f,"
-      "\"inference_queue_delay_max_ms\":%.6f,"
-      "\"requests_admitted\":%llu,\"requests_rejected\":%llu,"
-      "\"requests_started\":%llu,"
-      "\"requests_completed\":%llu,\"requests_failed\":%llu,"
-      "\"queue_depth\":%llu,\"queue_depth_peak\":%llu,"
-      "\"latency_count\":%llu,\"latency_p50_ms\":%.6f,"
-      "\"latency_p90_ms\":%.6f,\"latency_p99_ms\":%.6f,"
-      "\"latency_p999_ms\":%.6f,\"latency_max_ms\":%.6f}",
-      static_cast<unsigned long long>(cache_hits),
-      static_cast<unsigned long long>(cache_misses),
-      static_cast<unsigned long long>(cache_hit_bytes),
-      static_cast<unsigned long long>(cache_miss_bytes),
-      static_cast<unsigned long long>(cache_evictions),
-      static_cast<unsigned long long>(cache_evicted_bytes),
-      static_cast<unsigned long long>(single_flight_shared),
-      static_cast<unsigned long long>(single_flight_shared_bytes),
-      cache_hit_rate(),
-      static_cast<unsigned long long>(planes_fetched),
-      static_cast<unsigned long long>(planes_reused),
-      static_cast<unsigned long long>(fetched_bytes),
-      static_cast<unsigned long long>(reused_bytes),
-      static_cast<unsigned long long>(noop_refinements),
-      static_cast<unsigned long long>(retries_total),
-      static_cast<unsigned long long>(failovers_total),
-      static_cast<unsigned long long>(replicas_lost),
-      static_cast<unsigned long long>(retrains_total),
-      static_cast<unsigned long long>(model_promotions),
-      static_cast<unsigned long long>(candidate_rejections),
-      static_cast<unsigned long long>(model_rollbacks),
-      static_cast<unsigned long long>(shadow_pairs),
-      shadow_byte_ratio_p50, shadow_byte_ratio_p90, shadow_byte_ratio_mean,
-      static_cast<unsigned long long>(inference_rows),
-      static_cast<unsigned long long>(inference_batches),
-      inference_batch_rows_mean, inference_batch_rows_max,
-      inference_queue_delay_p50_ms, inference_queue_delay_p99_ms,
-      inference_queue_delay_max_ms,
-      static_cast<unsigned long long>(requests_admitted),
-      static_cast<unsigned long long>(requests_rejected),
-      static_cast<unsigned long long>(requests_started),
-      static_cast<unsigned long long>(requests_completed),
-      static_cast<unsigned long long>(requests_failed),
-      static_cast<unsigned long long>(queue_depth),
-      static_cast<unsigned long long>(queue_depth_peak),
-      static_cast<unsigned long long>(latency_count), latency_p50_ms,
-      latency_p90_ms, latency_p99_ms, latency_p999_ms, latency_max_ms);
-  return buf;
+  std::string json = "{";
+  for (const Metric& m : kMetrics) {
+    char buf[96];
+    if (m.u64 != nullptr) {
+      std::snprintf(buf, sizeof(buf), "\"%s\":%llu", m.json,
+                    static_cast<unsigned long long>(this->*m.u64));
+    } else {
+      std::snprintf(buf, sizeof(buf), "\"%s\":%.6f", m.json, m.Value(*this));
+    }
+    json += json.size() > 1 ? "," : "";
+    json += buf;
+  }
+  return json + "}";
 }
 
 std::string ServiceMetrics::SnapshotJson(const obs::Tracer* tracer,
@@ -242,221 +410,38 @@ std::string ServiceMetrics::SnapshotJson(const obs::Tracer* tracer,
 
 void AppendServiceMetricsProm(const ServiceMetrics::Snapshot& s,
                               obs::PromWriter* writer) {
-  struct Row {
-    const char* name;
-    const char* type;
-    const char* help;
-    double value;
-  };
-  const Row rows[] = {
-      {"mgardp_service_cache_hits_total", "counter",
-       "Segment cache hits.", static_cast<double>(s.cache_hits)},
-      {"mgardp_service_cache_misses_total", "counter",
-       "Segment cache misses (backend fills).",
-       static_cast<double>(s.cache_misses)},
-      {"mgardp_service_cache_hit_bytes_total", "counter",
-       "Bytes served from the segment cache.",
-       static_cast<double>(s.cache_hit_bytes)},
-      {"mgardp_service_cache_miss_bytes_total", "counter",
-       "Bytes read from the backend on cache misses.",
-       static_cast<double>(s.cache_miss_bytes)},
-      {"mgardp_service_cache_evictions_total", "counter",
-       "Segment cache evictions.", static_cast<double>(s.cache_evictions)},
-      {"mgardp_service_single_flight_shared_total", "counter",
-       "Fetches deduplicated onto an identical in-flight one.",
-       static_cast<double>(s.single_flight_shared)},
-      {"mgardp_service_planes_fetched_total", "counter",
-       "Bit-planes fetched from the backend by sessions.",
-       static_cast<double>(s.planes_fetched)},
-      {"mgardp_service_planes_reused_total", "counter",
-       "Bit-planes reused from session or shared cache.",
-       static_cast<double>(s.planes_reused)},
-      {"mgardp_service_fetched_bytes_total", "counter",
-       "Bytes fetched from the backend by sessions.",
-       static_cast<double>(s.fetched_bytes)},
-      {"mgardp_service_reused_bytes_total", "counter",
-       "Bytes reused without touching the backend.",
-       static_cast<double>(s.reused_bytes)},
-      {"mgardp_service_noop_refinements_total", "counter",
-       "Refinements satisfied by the reconstruction already in hand.",
-       static_cast<double>(s.noop_refinements)},
-      {"mgardp_service_retries_total", "counter",
-       "Transient-fault segment read retries.",
-       static_cast<double>(s.retries_total)},
-      {"mgardp_service_failovers_total", "counter",
-       "Reads served by a non-primary replica.",
-       static_cast<double>(s.failovers_total)},
-      {"mgardp_service_replicas_lost_total", "counter",
-       "Reads that found no live replica (permanent loss).",
-       static_cast<double>(s.replicas_lost)},
-      {"mgardp_service_retrains_total", "counter",
-       "Background model refits that published a candidate.",
-       static_cast<double>(s.retrains_total)},
-      {"mgardp_service_model_promotions_total", "counter",
-       "Shadow-winning candidates promoted to serving.",
-       static_cast<double>(s.model_promotions)},
-      {"mgardp_service_candidate_rejections_total", "counter",
-       "Shadow-losing candidates retired without serving.",
-       static_cast<double>(s.candidate_rejections)},
-      {"mgardp_service_model_rollbacks_total", "counter",
-       "Automatic rollbacks after post-promotion regression.",
-       static_cast<double>(s.model_rollbacks)},
-      {"mgardp_service_shadow_pairs_total", "counter",
-       "Live requests scored under both incumbent and candidate.",
-       static_cast<double>(s.shadow_pairs)},
-      {"mgardp_service_shadow_byte_ratio_p50", "gauge",
-       "Median candidate/incumbent fetched-byte ratio while shadowing.",
-       s.shadow_byte_ratio_p50},
-      {"mgardp_service_shadow_byte_ratio_p90", "gauge",
-       "90th-percentile candidate/incumbent fetched-byte ratio.",
-       s.shadow_byte_ratio_p90},
-      {"mgardp_service_inference_rows_total", "counter",
-       "Model-prediction rows requested (batched or not).",
-       static_cast<double>(s.inference_rows)},
-      {"mgardp_service_inference_batches_total", "counter",
-       "Coalesced inference batches executed.",
-       static_cast<double>(s.inference_batches)},
-      {"mgardp_service_inference_batch_rows_mean", "gauge",
-       "Mean rows per coalesced inference batch.",
-       s.inference_batch_rows_mean},
-      {"mgardp_service_inference_batch_rows_max", "gauge",
-       "Largest coalesced inference batch.", s.inference_batch_rows_max},
-      {"mgardp_service_inference_queue_delay_ms_p50", "gauge",
-       "Median batching delay of the oldest row per batch (ms).",
-       s.inference_queue_delay_p50_ms},
-      {"mgardp_service_inference_queue_delay_ms_p99", "gauge",
-       "99th-percentile inference batching delay (ms).",
-       s.inference_queue_delay_p99_ms},
-      {"mgardp_service_requests_admitted_total", "counter",
-       "Requests admitted by the scheduler.",
-       static_cast<double>(s.requests_admitted)},
-      {"mgardp_service_requests_rejected_total", "counter",
-       "Requests rejected at admission.",
-       static_cast<double>(s.requests_rejected)},
-      {"mgardp_service_requests_completed_total", "counter",
-       "Requests completed successfully.",
-       static_cast<double>(s.requests_completed)},
-      {"mgardp_service_requests_failed_total", "counter",
-       "Requests that completed with an error.",
-       static_cast<double>(s.requests_failed)},
-      {"mgardp_service_queue_depth", "gauge",
-       "Scheduler queue depth at the last admission/start event.",
-       static_cast<double>(s.queue_depth)},
-      {"mgardp_service_queue_depth_peak", "gauge",
-       "Peak scheduler queue depth since reset.",
-       static_cast<double>(s.queue_depth_peak)},
-      {"mgardp_service_cache_hit_rate", "gauge",
-       "Fraction of cache lookups that avoided the backend.",
-       s.cache_hit_rate()},
-      {"mgardp_service_request_latency_ms_p50", "gauge",
-       "Median request latency (ms).", s.latency_p50_ms},
-      {"mgardp_service_request_latency_ms_p90", "gauge",
-       "90th-percentile request latency (ms).", s.latency_p90_ms},
-      {"mgardp_service_request_latency_ms_p99", "gauge",
-       "99th-percentile request latency (ms).", s.latency_p99_ms},
-      {"mgardp_service_request_latency_ms_p999", "gauge",
-       "99.9th-percentile request latency (ms).", s.latency_p999_ms},
-      {"mgardp_service_request_latency_ms_max", "gauge",
-       "Maximum request latency (ms).", s.latency_max_ms},
-  };
-  for (const Row& r : rows) {
-    writer->Family(r.name, r.type, r.help);
-    writer->Sample({}, r.value);
+  for (const ServiceMetrics::Metric& m : ServiceMetrics::kMetrics) {
+    writer->Family(m.prom, m.type, m.help);
+    writer->Sample({}, m.Value(s));
   }
 }
 
 ServiceMetrics::Snapshot ServiceMetrics::snapshot() const {
   Snapshot s;
-  s.cache_hits = cache_hits_.load(kRelaxed);
-  s.cache_misses = cache_misses_.load(kRelaxed);
-  s.cache_hit_bytes = cache_hit_bytes_.load(kRelaxed);
-  s.cache_miss_bytes = cache_miss_bytes_.load(kRelaxed);
-  s.cache_evictions = cache_evictions_.load(kRelaxed);
-  s.cache_evicted_bytes = cache_evicted_bytes_.load(kRelaxed);
-  s.single_flight_shared = single_flight_shared_.load(kRelaxed);
-  s.single_flight_shared_bytes = single_flight_shared_bytes_.load(kRelaxed);
-  s.planes_fetched = planes_fetched_.load(kRelaxed);
-  s.planes_reused = planes_reused_.load(kRelaxed);
-  s.fetched_bytes = fetched_bytes_.load(kRelaxed);
-  s.reused_bytes = reused_bytes_.load(kRelaxed);
-  s.noop_refinements = noop_refinements_.load(kRelaxed);
-  s.retries_total = retries_total_.load(kRelaxed);
-  s.failovers_total = failovers_total_.load(kRelaxed);
-  s.replicas_lost = replicas_lost_.load(kRelaxed);
-  s.retrains_total = retrains_total_.load(kRelaxed);
-  s.model_promotions = model_promotions_.load(kRelaxed);
-  s.candidate_rejections = candidate_rejections_.load(kRelaxed);
-  s.model_rollbacks = model_rollbacks_.load(kRelaxed);
-  s.shadow_pairs = shadow_pairs_.load(kRelaxed);
-  s.shadow_byte_ratio_p50 = shadow_byte_ratio_.Quantile(0.50);
-  s.shadow_byte_ratio_p90 = shadow_byte_ratio_.Quantile(0.90);
-  s.shadow_byte_ratio_mean =
-      shadow_byte_ratio_.count() == 0
-          ? 0.0
-          : shadow_byte_ratio_.sum() /
-                static_cast<double>(shadow_byte_ratio_.count());
-  s.inference_rows = inference_rows_.load(kRelaxed);
-  s.inference_batches = inference_batches_.load(kRelaxed);
-  s.inference_batch_rows_mean =
-      inference_batch_rows_.count() == 0
-          ? 0.0
-          : inference_batch_rows_.sum() /
-                static_cast<double>(inference_batch_rows_.count());
-  s.inference_batch_rows_max = inference_batch_rows_.max();
-  s.inference_queue_delay_p50_ms = inference_queue_delay_ms_.Quantile(0.50);
-  s.inference_queue_delay_p99_ms = inference_queue_delay_ms_.Quantile(0.99);
-  s.inference_queue_delay_max_ms = inference_queue_delay_ms_.max();
-  s.requests_admitted = requests_admitted_.load(kRelaxed);
-  s.requests_rejected = requests_rejected_.load(kRelaxed);
-  s.requests_started = requests_started_.load(kRelaxed);
-  s.requests_completed = requests_completed_.load(kRelaxed);
-  s.requests_failed = requests_failed_.load(kRelaxed);
-  s.queue_depth = queue_depth_.load(kRelaxed);
-  s.queue_depth_peak = queue_depth_peak_.load(kRelaxed);
-  s.latency_count = latency_ms_.count();
-  s.latency_p50_ms = latency_ms_.Quantile(0.50);
-  s.latency_p90_ms = latency_ms_.Quantile(0.90);
-  s.latency_p99_ms = latency_ms_.Quantile(0.99);
-  s.latency_p999_ms = latency_ms_.Quantile(0.999);
-  s.latency_max_ms = latency_ms_.max();
+  for (const Metric& m : kMetrics) {
+    if (m.counter != kNumCounters) {
+      s.*m.u64 = counters_[m.counter].load(kRelaxed);
+    } else if (m.histogram == nullptr) {
+      continue;  // derived from the fields above
+    } else if (m.stat == Stat::kCount) {
+      s.*m.u64 = (this->*m.histogram).count();
+    } else {
+      s.*m.f64 = Statistic(this->*m.histogram, m.stat);
+    }
+  }
   return s;
 }
 
 void ServiceMetrics::Reset() {
-  cache_hits_ = 0;
-  cache_misses_ = 0;
-  cache_hit_bytes_ = 0;
-  cache_miss_bytes_ = 0;
-  cache_evictions_ = 0;
-  cache_evicted_bytes_ = 0;
-  single_flight_shared_ = 0;
-  single_flight_shared_bytes_ = 0;
-  planes_fetched_ = 0;
-  planes_reused_ = 0;
-  fetched_bytes_ = 0;
-  reused_bytes_ = 0;
-  noop_refinements_ = 0;
-  retries_total_ = 0;
-  failovers_total_ = 0;
-  replicas_lost_ = 0;
-  retrains_total_ = 0;
-  model_promotions_ = 0;
-  candidate_rejections_ = 0;
-  model_rollbacks_ = 0;
-  shadow_pairs_ = 0;
-  shadow_byte_ratio_.Reset();
-  inference_rows_ = 0;
-  inference_batches_ = 0;
-  inference_batch_rows_.Reset();
-  inference_queue_delay_ms_.Reset();
-  requests_admitted_ = 0;
-  requests_rejected_ = 0;
-  requests_started_ = 0;
-  requests_completed_ = 0;
-  requests_failed_ = 0;
-  queue_depth_ = 0;
-  queue_depth_peak_ = 0;
-  latency_ms_.Reset();
+  for (std::atomic<std::uint64_t>& counter : counters_) {
+    counter = 0;
+  }
+  // A histogram behind several rows is reset once per row; that is harmless.
+  for (const Metric& m : kMetrics) {
+    if (m.histogram != nullptr) {
+      (this->*m.histogram).Reset();
+    }
+  }
 }
 
 }  // namespace mgardp

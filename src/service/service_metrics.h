@@ -11,6 +11,7 @@
 #ifndef MGARDP_SERVICE_SERVICE_METRICS_H_
 #define MGARDP_SERVICE_SERVICE_METRICS_H_
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -141,7 +142,8 @@ class ServiceMetrics {
     // (hits + single-flight shares); 0 when there were none.
     double cache_hit_rate() const;
 
-    // One flat JSON object; keys match the field names above.
+    // One flat JSON object; keys match the field names above, plus
+    // "cache_hit_rate".
     std::string ToJson() const;
   };
 
@@ -162,41 +164,37 @@ class ServiceMetrics {
   void Reset();
 
  private:
-  std::atomic<std::uint64_t> cache_hits_{0};
-  std::atomic<std::uint64_t> cache_misses_{0};
-  std::atomic<std::uint64_t> cache_hit_bytes_{0};
-  std::atomic<std::uint64_t> cache_miss_bytes_{0};
-  std::atomic<std::uint64_t> cache_evictions_{0};
-  std::atomic<std::uint64_t> cache_evicted_bytes_{0};
-  std::atomic<std::uint64_t> single_flight_shared_{0};
-  std::atomic<std::uint64_t> single_flight_shared_bytes_{0};
+  friend void AppendServiceMetricsProm(const Snapshot& snapshot,
+                                       obs::PromWriter* writer);
 
-  std::atomic<std::uint64_t> planes_fetched_{0};
-  std::atomic<std::uint64_t> planes_reused_{0};
-  std::atomic<std::uint64_t> fetched_bytes_{0};
-  std::atomic<std::uint64_t> reused_bytes_{0};
-  std::atomic<std::uint64_t> noop_refinements_{0};
+  // One exported value: its JSON key, Prometheus family, and where
+  // snapshot() reads it from. The table (service_metrics.cc) drives
+  // snapshot(), Reset(), Snapshot::ToJson() and AppendServiceMetricsProm,
+  // so a new counter needs only its enum entry, Snapshot field, table row
+  // and mutator.
+  struct Metric;
+  static const Metric kMetrics[];
 
-  std::atomic<std::uint64_t> retries_total_{0};
-  std::atomic<std::uint64_t> failovers_total_{0};
-  std::atomic<std::uint64_t> replicas_lost_{0};
+  enum Counter : std::size_t {
+    kCacheHits, kCacheMisses, kCacheHitBytes, kCacheMissBytes,
+    kCacheEvictions, kCacheEvictedBytes, kSingleFlightShared,
+    kSingleFlightSharedBytes,
+    kPlanesFetched, kPlanesReused, kFetchedBytes, kReusedBytes,
+    kNoopRefinements,
+    kRetries, kFailovers, kReplicasLost,
+    kRetrains, kModelPromotions, kCandidateRejections, kModelRollbacks,
+    kShadowPairs,
+    kInferenceRows, kInferenceBatches,
+    kRequestsAdmitted, kRequestsRejected, kRequestsStarted,
+    kRequestsCompleted, kRequestsFailed, kQueueDepth, kQueueDepthPeak,
+    kNumCounters
+  };
 
-  std::atomic<std::uint64_t> retrains_total_{0};
-  std::atomic<std::uint64_t> model_promotions_{0};
-  std::atomic<std::uint64_t> candidate_rejections_{0};
-  std::atomic<std::uint64_t> model_rollbacks_{0};
-  std::atomic<std::uint64_t> shadow_pairs_{0};
+  void Add(Counter counter, std::uint64_t n) {
+    counters_[counter].fetch_add(n, std::memory_order_relaxed);
+  }
 
-  std::atomic<std::uint64_t> inference_rows_{0};
-  std::atomic<std::uint64_t> inference_batches_{0};
-
-  std::atomic<std::uint64_t> requests_admitted_{0};
-  std::atomic<std::uint64_t> requests_rejected_{0};
-  std::atomic<std::uint64_t> requests_started_{0};
-  std::atomic<std::uint64_t> requests_completed_{0};
-  std::atomic<std::uint64_t> requests_failed_{0};
-  std::atomic<std::uint64_t> queue_depth_{0};
-  std::atomic<std::uint64_t> queue_depth_peak_{0};
+  std::array<std::atomic<std::uint64_t>, kNumCounters> counters_{};
 
   // Declared in the constructor's initialisation order.
   Histogram latency_ms_;
@@ -205,11 +203,10 @@ class ServiceMetrics {
   Histogram inference_queue_delay_ms_;
 };
 
-// Renders a metrics snapshot into a Prometheus exposition as
-// `mgardp_service_*` counter and gauge families (cache traffic, session
-// plane/byte accounting, scheduler request counts, queue depth, latency
-// quantile gauges). Lives beside ServiceMetrics so the obs layer stays
-// free of service-layer types.
+// Renders a metrics snapshot into a Prometheus exposition: one
+// `mgardp_service_*` counter or gauge family per snapshot value, the same
+// values ToJson() writes. Lives beside ServiceMetrics so the obs layer
+// stays free of service-layer types.
 void AppendServiceMetricsProm(const ServiceMetrics::Snapshot& snapshot,
                               obs::PromWriter* writer);
 

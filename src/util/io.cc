@@ -3,6 +3,9 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <utility>
+
+#include "util/logging.h"
 
 namespace mgardp {
 
@@ -29,6 +32,63 @@ Status WriteFileAtomic(const std::string& path,
     return Status::IOError("cannot rename " + tmp + " into " + path);
   }
   return Status::OK();
+}
+
+PeriodicFileWriter::PeriodicFileWriter(std::string path,
+                                       std::chrono::milliseconds interval,
+                                       std::function<std::string()> render)
+    : path_(std::move(path)),
+      interval_(interval),
+      render_(std::move(render)) {
+  MGARDP_CHECK(render_ != nullptr);
+  thread_ = std::thread([this] { Loop(); });
+}
+
+PeriodicFileWriter::~PeriodicFileWriter() {
+  const Status st = Stop();
+  (void)st;
+}
+
+void PeriodicFileWriter::Loop() {
+  std::unique_lock<std::mutex> lock(mu_);
+  while (!cv_.wait_for(lock, interval_, [this] { return stop_; })) {
+    lock.unlock();
+    Flush();
+    lock.lock();
+  }
+}
+
+void PeriodicFileWriter::Flush() {
+  const Status st = WriteFileAtomic(path_, render_());
+  std::lock_guard<std::mutex> lock(mu_);
+  ++flushes_;
+  if (!st.ok() && last_error_.ok()) {
+    last_error_ = st;
+  }
+}
+
+Status PeriodicFileWriter::Stop() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (stop_) {
+      return last_error_;
+    }
+    stop_ = true;
+  }
+  cv_.notify_all();
+  thread_.join();
+  Flush();
+  return last_error();
+}
+
+std::uint64_t PeriodicFileWriter::flushes() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return flushes_;
+}
+
+Status PeriodicFileWriter::last_error() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return last_error_;
 }
 
 Result<std::string> ReadFileToString(const std::string& path) {

@@ -8,9 +8,14 @@
 #ifndef MGARDP_UTIL_IO_H_
 #define MGARDP_UTIL_IO_H_
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstring>
+#include <functional>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "util/status.h"
@@ -128,9 +133,46 @@ class BinaryReader {
 Status WriteFile(const std::string& path, const std::string& contents);
 
 // Writes `contents` to `path` atomically (temp file + rename), so a
-// concurrent reader never observes a half-written file. Used by the
-// Prometheus and Chrome-trace periodic flushers.
+// concurrent reader never observes a half-written file.
 Status WriteFileAtomic(const std::string& path, const std::string& contents);
+
+// Keeps a file current for a long-running process (the CLI's --prom and
+// --trace exports): a background thread rewrites `path` with `render()`
+// via WriteFileAtomic every `interval`, and Stop() writes once more so the
+// file ends on the final state. A crash loses at most one interval.
+class PeriodicFileWriter {
+ public:
+  PeriodicFileWriter(std::string path, std::chrono::milliseconds interval,
+                     std::function<std::string()> render);
+  ~PeriodicFileWriter();
+
+  PeriodicFileWriter(const PeriodicFileWriter&) = delete;
+  PeriodicFileWriter& operator=(const PeriodicFileWriter&) = delete;
+
+  // Idempotent: wakes the thread, joins it, and flushes one final time.
+  // Returns the first write error observed (OK if none).
+  Status Stop();
+
+  std::uint64_t flushes() const;
+  // First write error observed so far (OK if none).
+  Status last_error() const;
+
+ private:
+  void Loop();
+  // Writes the file and records the outcome.
+  void Flush();
+
+  const std::string path_;
+  const std::chrono::milliseconds interval_;
+  const std::function<std::string()> render_;
+
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
+  bool stop_ = false;
+  std::uint64_t flushes_ = 0;
+  Status last_error_;
+  std::thread thread_;
+};
 
 // Reads the entire file at `path`.
 Result<std::string> ReadFileToString(const std::string& path);

@@ -1,32 +1,24 @@
-// PromWriter golden expositions, label escaping, the test-side format
-// validator against real audit/service renders, and PeriodicPromFlusher
-// lifecycle.
+// PromWriter golden expositions, label escaping, and the test-side format
+// validator against real audit/service renders.
 
 #include "obs/prom_export.h"
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <string>
-#include <thread>
 
 #include "obs/audit.h"
 #include "prom_validator.h"
 #include "service/service_metrics.h"
 #include "util/histogram.h"
-#include "util/io.h"
 
 namespace mgardp {
 namespace obs {
 namespace {
 
 using mgardp::prom_test::ValidatePromExposition;
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
 
 // Fills an auditor with enough variety to exercise every exported family:
 // satisfied + violated + estimate-only records, overfetch, and drift.
@@ -154,8 +146,18 @@ TEST(PromExportTest, CombinedAuditAndServiceRenderPassesValidator) {
   AppendAuditMetrics(auditor, &w);
   AppendServiceMetricsProm(metrics.snapshot(), &w);
   EXPECT_EQ(ValidatePromExposition(w.str()), "") << w.str();
-  EXPECT_NE(w.str().find("mgardp_service_requests_completed_total"),
-            std::string::npos);
+  for (const char* family :
+       {"mgardp_service_requests_completed_total",
+        "mgardp_service_cache_evicted_bytes_total",
+        "mgardp_service_single_flight_shared_bytes_total",
+        "mgardp_service_requests_started_total",
+        "mgardp_service_request_latency_samples_total",
+        "mgardp_service_shadow_byte_ratio_mean",
+        "mgardp_service_inference_queue_delay_ms_max"}) {
+    EXPECT_NE(w.str().find(std::string("# TYPE ") + family + " "),
+              std::string::npos)
+        << family;
+  }
 }
 
 TEST(PromExportTest, ValidatorRejectsBrokenInput) {
@@ -196,67 +198,6 @@ TEST(PromExportTest, ValidatorRejectsBrokenInput) {
                                    "h_sum 1\n"
                                    "h_count 3\n"),
             "");
-}
-
-TEST(PromExportTest, WritePromFileReplacesAtomically) {
-  const std::string path = TempPath("prom_write_test.prom");
-  ASSERT_TRUE(WritePromFile(path, "first 1\n").ok());
-  ASSERT_TRUE(WritePromFile(path, "second 2\n").ok());
-  auto content = ReadFileToString(path);
-  ASSERT_TRUE(content.ok());
-  EXPECT_EQ(content.value(), "second 2\n");
-  // No leftover temp file from either write.
-  EXPECT_FALSE(ReadFileToString(path + ".tmp").ok());
-}
-
-TEST(PromExportTest, WritePromFileReportsBadDirectory) {
-  EXPECT_FALSE(
-      WritePromFile("/nonexistent-dir-for-test/out.prom", "x 1\n").ok());
-}
-
-TEST(PromFlusherTest, FlushesPeriodicallyAndStopIsIdempotent) {
-  ErrorControlAuditor auditor;
-  Populate(&auditor);
-  const std::string path = TempPath("prom_flusher_test.prom");
-  PeriodicPromFlusher flusher(
-      path, std::chrono::milliseconds(10),
-      [&auditor] { return RenderAuditPrometheus(auditor); });
-  // Wait until the background thread has flushed at least twice.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (flusher.flushes() < 2 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  EXPECT_GE(flusher.flushes(), 2u);
-  ASSERT_TRUE(flusher.Stop().ok());
-  const std::uint64_t after_stop = flusher.flushes();
-  EXPECT_GE(after_stop, 3u);  // Stop() always performs a final flush
-  ASSERT_TRUE(flusher.Stop().ok());  // idempotent: no extra flush
-  EXPECT_EQ(flusher.flushes(), after_stop);
-  auto content = ReadFileToString(path);
-  ASSERT_TRUE(content.ok());
-  EXPECT_EQ(ValidatePromExposition(content.value()), "") << content.value();
-  EXPECT_TRUE(flusher.last_error().ok());
-}
-
-TEST(PromFlusherTest, StopWithoutTickStillWritesFinalState) {
-  const std::string path = TempPath("prom_flusher_final.prom");
-  PeriodicPromFlusher flusher(path, std::chrono::hours(1),
-                              [] { return std::string("final 1\n"); });
-  ASSERT_TRUE(flusher.Stop().ok());
-  EXPECT_GE(flusher.flushes(), 1u);
-  auto content = ReadFileToString(path);
-  ASSERT_TRUE(content.ok());
-  EXPECT_EQ(content.value(), "final 1\n");
-}
-
-TEST(PromFlusherTest, SurfacesWriteErrors) {
-  PeriodicPromFlusher flusher("/nonexistent-dir-for-test/out.prom",
-                              std::chrono::hours(1),
-                              [] { return std::string("x 1\n"); });
-  EXPECT_FALSE(flusher.Stop().ok());
-  EXPECT_FALSE(flusher.last_error().ok());
 }
 
 }  // namespace

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <string>
+#include <thread>
 
 namespace mgardp {
 namespace {
@@ -85,6 +89,68 @@ TEST(FileIoTest, MissingFileFails) {
   auto result = ReadFileToString("/nonexistent/path/to/file");
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kIOError);
+}
+
+TEST(FileIoTest, WriteFileAtomicReplacesAtomically) {
+  const std::string path = ::testing::TempDir() + "/atomic_write_test.txt";
+  ASSERT_TRUE(WriteFileAtomic(path, "first 1\n").ok());
+  ASSERT_TRUE(WriteFileAtomic(path, "second 2\n").ok());
+  auto content = ReadFileToString(path);
+  ASSERT_TRUE(content.ok());
+  EXPECT_EQ(content.value(), "second 2\n");
+  // No leftover temp file from either write.
+  EXPECT_FALSE(ReadFileToString(path + ".tmp").ok());
+}
+
+TEST(FileIoTest, WriteFileAtomicReportsBadDirectory) {
+  EXPECT_FALSE(
+      WriteFileAtomic("/nonexistent-dir-for-test/out.txt", "x 1\n").ok());
+}
+
+TEST(PeriodicFileWriterTest, FlushesPeriodicallyAndStopIsIdempotent) {
+  const std::string path = ::testing::TempDir() + "/periodic_writer_test.txt";
+  std::atomic<int> renders{0};
+  PeriodicFileWriter writer(path, std::chrono::milliseconds(10), [&renders] {
+    return "render " + std::to_string(++renders) + "\n";
+  });
+  // Wait until the background thread has flushed at least twice.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (writer.flushes() < 2 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_GE(writer.flushes(), 2u);
+  ASSERT_TRUE(writer.Stop().ok());
+  const std::uint64_t after_stop = writer.flushes();
+  EXPECT_GE(after_stop, 3u);  // Stop() always performs a final flush
+  ASSERT_TRUE(writer.Stop().ok());  // idempotent: no extra flush
+  EXPECT_EQ(writer.flushes(), after_stop);
+  // The file holds the last render, the one Stop() wrote.
+  auto content = ReadFileToString(path);
+  ASSERT_TRUE(content.ok());
+  EXPECT_EQ(content.value(), "render " + std::to_string(renders.load()) + "\n");
+  EXPECT_EQ(static_cast<std::uint64_t>(renders.load()), after_stop);
+  EXPECT_TRUE(writer.last_error().ok());
+}
+
+TEST(PeriodicFileWriterTest, StopWithoutTickStillWritesFinalState) {
+  const std::string path = ::testing::TempDir() + "/periodic_writer_final.txt";
+  PeriodicFileWriter writer(path, std::chrono::hours(1),
+                            [] { return std::string("final 1\n"); });
+  ASSERT_TRUE(writer.Stop().ok());
+  EXPECT_EQ(writer.flushes(), 1u);
+  auto content = ReadFileToString(path);
+  ASSERT_TRUE(content.ok());
+  EXPECT_EQ(content.value(), "final 1\n");
+}
+
+TEST(PeriodicFileWriterTest, SurfacesWriteErrors) {
+  PeriodicFileWriter writer("/nonexistent-dir-for-test/out.txt",
+                            std::chrono::hours(1),
+                            [] { return std::string("x 1\n"); });
+  EXPECT_FALSE(writer.Stop().ok());
+  EXPECT_FALSE(writer.last_error().ok());
 }
 
 }  // namespace

@@ -1585,9 +1585,9 @@ int CmdServeBench(const Flags& flags) {
   std::mutex prom_mu;
   ServiceMetrics* prom_metrics = nullptr;              // guarded by prom_mu
   std::optional<ServiceMetrics::Snapshot> prom_last;   // guarded by prom_mu
-  std::unique_ptr<obs::PeriodicPromFlusher> prom_flusher;
+  std::unique_ptr<PeriodicFileWriter> prom_flusher;
   if (!prom_path.empty()) {
-    prom_flusher = std::make_unique<obs::PeriodicPromFlusher>(
+    prom_flusher = std::make_unique<PeriodicFileWriter>(
         prom_path, std::chrono::milliseconds(1000), [&] {
           obs::PromWriter writer;
           obs::AppendBuildInfoMetrics(&writer);
@@ -3005,17 +3005,19 @@ int main(int argc, char** argv) {
     return Usage(flags.error().c_str());
   }
   const std::string trace_path = flags.GetString("trace");
-  std::unique_ptr<obs::PeriodicTraceFlusher> trace_flusher;
+  std::unique_ptr<PeriodicFileWriter> trace_flusher;
   if (flags.Has("trace")) {
     if (trace_path.empty()) {
       return Usage("--trace needs an output file path");
     }
     obs::GlobalTracer().set_enabled(true);
-    // Background flush: the timeline is rewritten atomically on an
-    // interval (and on event-count bursts), so a long run killed mid-way
-    // still leaves a loadable trace instead of nothing.
-    trace_flusher = std::make_unique<obs::PeriodicTraceFlusher>(
-        &obs::GlobalTracer(), trace_path);
+    // Background flush: the timeline is rewritten atomically every
+    // second, so a long run killed mid-way still leaves a loadable trace
+    // instead of nothing.
+    trace_flusher = std::make_unique<PeriodicFileWriter>(
+        trace_path, std::chrono::milliseconds(1000), [] {
+          return obs::ToChromeTraceJson(obs::GlobalTracer().events());
+        });
   }
   if (flags.Has("trace-requests")) {
     if (flags.GetString("trace-requests").empty()) {
@@ -3032,7 +3034,7 @@ int main(int argc, char** argv) {
   const int rc = cmd == "models" ? CmdModels(models_action, flags)
                                  : Dispatch(cmd, flags);
   if (!prom_path.empty() && !g_prom_handled) {
-    const Status st = obs::WritePromFile(
+    const Status st = WriteFileAtomic(
         prom_path, obs::RenderAuditPrometheus(obs::GlobalAuditor()));
     if (!st.ok()) {
       std::fprintf(stderr, "error writing prom file: %s\n",
