@@ -33,7 +33,7 @@ void BM_Decompose3D(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(dims.size()));
 }
-BENCHMARK(BM_Decompose3D)->Arg(17)->Arg(33)->Arg(65);
+BENCHMARK(BM_Decompose3D)->Arg(17)->Arg(33)->Arg(65)->Arg(129);
 
 void BM_Recompose3D(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
@@ -50,7 +50,7 @@ void BM_Recompose3D(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(dims.size()));
 }
-BENCHMARK(BM_Recompose3D)->Arg(17)->Arg(33)->Arg(65);
+BENCHMARK(BM_Recompose3D)->Arg(17)->Arg(33)->Arg(65)->Arg(129);
 
 void BM_DecomposeNoCorrection(benchmark::State& state) {
   const Dims3 dims{33, 33, 33};

@@ -1,12 +1,12 @@
 #include "decompose/decomposer.h"
 
+#include <algorithm>
 #include <cstddef>
+#include <vector>
 
 #include "util/parallel.h"
 
 namespace mgardp {
-namespace internal {
-
 namespace {
 
 // Mass matrix of linear hats on a uniform coarse grid with spacing H = 2:
@@ -15,6 +15,11 @@ constexpr double kH = 2.0;
 constexpr double kOff = kH / 6.0;
 constexpr double kDiagInt = 4.0 * kH / 6.0;
 constexpr double kDiagBnd = 2.0 * kH / 6.0;
+
+// Number of neighbouring lines one kernel call transforms together. Each
+// line's Thomas solve is a serial chain of divides; interleaving eight
+// independent chains keeps the divider busy instead of waiting on latency.
+constexpr std::size_t kLanes = 8;
 
 // Thomas-algorithm factors for the coarse mass matrix of size mc. They
 // depend only on mc, so one computation serves every line of an axis pass;
@@ -39,118 +44,124 @@ void ComputeThomasFactors(std::size_t mc, ThomasFactors* f) {
   }
 }
 
-void SolveCoarseMassWith(double* b, std::size_t mc, const ThomasFactors& f) {
-  b[0] /= f.denom[0];
-  for (std::size_t i = 1; i < mc; ++i) {
-    b[i] = (b[i] - kOff * b[i - 1]) / f.denom[i];
-  }
-  for (std::size_t i = mc - 1; i-- > 0;) {
-    b[i] -= f.c[i] * b[i + 1];
+// A group of nl <= kLanes lines of odd length m >= 3 transformed together:
+// line L starts at u + L * ls and its elements are `us` apart. The kernels
+// below loop over line position outside and lane inside. Lanes never read
+// each other's values and each element gets the same operations in the
+// same order as a one-line-at-a-time solve, so batching changes no bit.
+struct LaneGroup {
+  double* u;
+  std::size_t us;  // element stride along the line
+  std::size_t ls;  // stride between neighbouring lines
+  std::size_t nl;  // lines in this group
+  std::size_t m;   // line length
+};
+
+// Odd entries become interpolation residuals (forward) or get the
+// interpolant added back (inverse). This is the whole transform when the
+// correction is off.
+template <bool kForward>
+void Predict(const LaneGroup& g) {
+  for (std::size_t p = 1; p < g.m; p += 2) {
+    double* const d = g.u + p * g.us;
+    const double* const left = d - g.us;
+    const double* const right = d + g.us;
+    for (std::size_t l = 0; l < g.nl; ++l) {
+      const std::size_t o = l * g.ls;
+      if constexpr (kForward) {
+        d[o] -= 0.5 * (left[o] + right[o]);
+      } else {
+        d[o] += 0.5 * (left[o] + right[o]);
+      }
+    }
   }
 }
 
-// Computes the coarse-grid load vector of the detail function: each detail
-// hat at odd position 2I +- 1 overlaps coarse hat I with integral h/2
-// (h = 1, the fine spacing). `us` is the element stride of the line.
-void DetailLoadVector(const double* u, std::size_t us, std::size_t m,
-                      double* b) {
-  const std::size_t mc = (m + 1) / 2;
+// Lifting with the L2 projection correction, in two sweeps over the group
+// so each line is read twice rather than once per stage. `b` is mc x
+// kLanes scratch, lane-minor, holding the correction.
+//
+// Upward, for coarse node i: (forward only) odd entry 2i + 1 becomes its
+// interpolation residual; the load of coarse hat i is formed from the
+// details at 2i - 1 and 2i + 1 (each detail hat overlaps it with integral
+// h/2, h = 1 the fine spacing) and forward-eliminated against the coarse
+// mass matrix. Downward: back substitution finishes correction i, which is
+// added to (forward) or subtracted from (inverse) even entry 2i; (inverse
+// only) odd entry 2i + 1 then gets its interpolant back, both of its
+// neighbours being final. The correction depends only on the details, so
+// the inverse undoes the forward exactly.
+template <bool kForward>
+void CorrectedLift(const LaneGroup& g, const ThomasFactors& f, double* b) {
+  const std::size_t us = g.us;
+  const std::size_t mc = (g.m + 1) / 2;
   for (std::size_t i = 0; i < mc; ++i) {
-    double load = 0.0;
-    if (i > 0) {
-      load += u[(2 * i - 1) * us];
-    }
-    if (2 * i + 1 < m) {
-      load += u[(2 * i + 1) * us];
-    }
-    b[i] = 0.5 * load;
-  }
-}
-
-// Strided line kernels: identical arithmetic to the public ForwardLine /
-// InverseLine, operating in place on a line whose elements are `us` apart.
-// `b` is caller-provided scratch of at least (m + 1) / 2 doubles; `factors`
-// is null when the correction is disabled.
-void ForwardLineStrided(double* u, std::size_t us, std::size_t m,
-                        const ThomasFactors* factors, double* b) {
-  MGARDP_DCHECK(m >= 3 && m % 2 == 1);
-  // Predict: odd entries become interpolation residuals.
-  for (std::size_t p = 1; p < m; p += 2) {
-    u[p * us] -= 0.5 * (u[(p - 1) * us] + u[(p + 1) * us]);
-  }
-  if (factors == nullptr) {
-    return;
-  }
-  // Update: L2 projection correction on the even (coarse) entries.
-  const std::size_t mc = (m + 1) / 2;
-  DetailLoadVector(u, us, m, b);
-  SolveCoarseMassWith(b, mc, *factors);
-  for (std::size_t i = 0; i < mc; ++i) {
-    u[2 * i * us] += b[i];
-  }
-}
-
-void InverseLineStrided(double* u, std::size_t us, std::size_t m,
-                        const ThomasFactors* factors, double* b) {
-  MGARDP_DCHECK(m >= 3 && m % 2 == 1);
-  if (factors != nullptr) {
-    const std::size_t mc = (m + 1) / 2;
-    DetailLoadVector(u, us, m, b);
-    SolveCoarseMassWith(b, mc, *factors);
-    for (std::size_t i = 0; i < mc; ++i) {
-      u[2 * i * us] -= b[i];
+    const bool has_left = i > 0;
+    const bool has_right = i + 1 < mc;
+    double* const even = g.u + 2 * i * us;
+    double* const row = b + i * kLanes;
+    const double* const prev = has_left ? row - kLanes : row;
+    const double denom = f.denom[i];
+    for (std::size_t l = 0; l < g.nl; ++l) {
+      const std::size_t o = l * g.ls;
+      if (kForward && has_right) {
+        even[us + o] -= 0.5 * (even[o] + even[2 * us + o]);
+      }
+      // Starting from +0.0 and adding left before right fixes the sign of
+      // zero loads.
+      double load = 0.0;
+      if (has_left) {
+        load += even[o - us];
+      }
+      if (has_right) {
+        load += even[us + o];
+      }
+      const double rhs = 0.5 * load;
+      // Divide by the stored denominator; a reciprocal would round
+      // differently.
+      row[l] = has_left ? (rhs - kOff * prev[l]) / denom : rhs / denom;
     }
   }
-  for (std::size_t p = 1; p < m; p += 2) {
-    u[p * us] += 0.5 * (u[(p - 1) * us] + u[(p + 1) * us]);
+  for (std::size_t i = mc; i-- > 0;) {
+    const bool has_right = i + 1 < mc;
+    double* const even = g.u + 2 * i * us;
+    double* const row = b + i * kLanes;
+    const double* const next = row + kLanes;
+    const double c = f.c[i];
+    for (std::size_t l = 0; l < g.nl; ++l) {
+      const std::size_t o = l * g.ls;
+      if (has_right) {
+        row[l] -= c * next[l];
+      }
+      if constexpr (kForward) {
+        even[o] += row[l];
+      } else {
+        even[o] -= row[l];
+        if (has_right) {
+          even[us + o] += 0.5 * (even[o] + even[2 * us + o]);
+        }
+      }
+    }
   }
 }
 
-}  // namespace
-
-void SolveCoarseMass(double* b, std::size_t mc, std::vector<double>* scratch) {
-  MGARDP_DCHECK(mc >= 2);
-  ThomasFactors factors;
-  ComputeThomasFactors(mc, &factors);
-  // Preserve the historical contract that scratch holds the modified
-  // upper-diagonal factors.
-  *scratch = factors.c;
-  SolveCoarseMassWith(b, mc, factors);
-}
-
-void ForwardLine(double* u, std::size_t m, bool correct,
-                 std::vector<double>* scratch) {
-  MGARDP_DCHECK(m >= 3 && m % 2 == 1);
-  const std::size_t mc = (m + 1) / 2;
-  scratch->resize(2 * mc);
-  ThomasFactors factors;
-  if (correct) {
-    ComputeThomasFactors(mc, &factors);
+// `f` is null when the correction is disabled.
+template <bool kForward>
+void TransformGroup(const LaneGroup& g, const ThomasFactors* f, double* b) {
+  MGARDP_DCHECK(g.m >= 3 && g.m % 2 == 1 && g.nl >= 1 && g.nl <= kLanes);
+  if (f == nullptr) {
+    Predict<kForward>(g);
+  } else {
+    CorrectedLift<kForward>(g, *f, b);
   }
-  ForwardLineStrided(u, 1, m, correct ? &factors : nullptr, scratch->data());
 }
-
-void InverseLine(double* u, std::size_t m, bool correct,
-                 std::vector<double>* scratch) {
-  MGARDP_DCHECK(m >= 3 && m % 2 == 1);
-  const std::size_t mc = (m + 1) / 2;
-  scratch->resize(2 * mc);
-  ThomasFactors factors;
-  if (correct) {
-    ComputeThomasFactors(mc, &factors);
-  }
-  InverseLineStrided(u, 1, m, correct ? &factors : nullptr, scratch->data());
-}
-
-}  // namespace internal
-
-namespace {
 
 // Applies the forward or inverse line transform along `axis` (0 = x, 1 = y,
 // 2 = z) over every line of the active lattice at `stride`. Lines are
-// transformed in place through strided pointers -- no gather/scatter copy --
-// and the Thomas factors are computed once per pass since every line of the
-// pass has the same length.
+// transformed in place through strided pointers -- no gather/scatter copy
+// -- in groups of kLanes lines consecutive along the second other axis o2
+// (z for the x and y passes, so at the finest step the lanes are adjacent
+// doubles; y for the z pass). The Thomas factors are computed once per pass
+// since every line of the pass has the same length.
 void TransformAxis(Array3Dd* data, std::size_t stride, int axis, bool forward,
                    bool correct) {
   const Dims3& dims = data->dims();
@@ -167,13 +178,14 @@ void TransformAxis(Array3Dd* data, std::size_t stride, int axis, bool forward,
   const int o2 = (axis == 2) ? 1 : 2;
   const std::size_t n1 = lat(o1);
   const std::size_t n2 = lat(o2);
+  const std::size_t groups = (n2 + kLanes - 1) / kLanes;
 
   const std::size_t mc = (m + 1) / 2;
-  internal::ThomasFactors factors;
+  ThomasFactors factors;
   if (correct) {
-    internal::ComputeThomasFactors(mc, &factors);
+    ComputeThomasFactors(mc, &factors);
   }
-  const internal::ThomasFactors* f = correct ? &factors : nullptr;
+  const ThomasFactors* f = correct ? &factors : nullptr;
 
   // Element strides of each axis in the row-major (z fastest) layout.
   const std::size_t elem_stride[3] = {dims.ny * dims.nz, dims.nz, 1};
@@ -182,19 +194,20 @@ void TransformAxis(Array3Dd* data, std::size_t stride, int axis, bool forward,
   const std::size_t s2 = ext[o2] == 1 ? 0 : stride * elem_stride[o2];
   double* const base = data->data();
 
-  // Lines along `axis` touch disjoint lattice sites for distinct (a, b), so
-  // they solve independently across the pool; each chunk keeps its own
-  // correction scratch buffer.
-  const std::size_t lines_per_chunk = std::max<std::size_t>(1, 2048 / m);
-  ParallelFor(0, n1 * n2, lines_per_chunk,
-              [&](std::size_t lo, std::size_t hi) {
-    std::vector<double> b(mc);
+  // Lines along `axis` touch disjoint lattice sites for distinct (a, c), so
+  // the (outer line x lane group) items solve independently across the
+  // pool; each chunk keeps its own mc x kLanes correction scratch.
+  const std::size_t grain = std::max<std::size_t>(1, 2048 / (m * kLanes));
+  ParallelFor(0, n1 * groups, grain, [&](std::size_t lo, std::size_t hi) {
+    std::vector<double> b(mc * kLanes);
     for (std::size_t t = lo; t < hi; ++t) {
-      double* const u = base + (t / n2) * s1 + (t % n2) * s2;
+      const std::size_t c0 = (t % groups) * kLanes;
+      const LaneGroup g{base + (t / groups) * s1 + c0 * s2, us, s2,
+                        std::min(kLanes, n2 - c0), m};
       if (forward) {
-        internal::ForwardLineStrided(u, us, m, f, b.data());
+        TransformGroup<true>(g, f, b.data());
       } else {
-        internal::InverseLineStrided(u, us, m, f, b.data());
+        TransformGroup<false>(g, f, b.data());
       }
     }
   });

@@ -14,8 +14,6 @@
 #ifndef MGARDP_DECOMPOSE_DECOMPOSER_H_
 #define MGARDP_DECOMPOSE_DECOMPOSER_H_
 
-#include <vector>
-
 #include "decompose/hierarchy.h"
 #include "util/array3d.h"
 #include "util/status.h"
@@ -46,26 +44,6 @@ class Decomposer {
   GridHierarchy hierarchy_;
   DecomposeOptions options_;
 };
-
-namespace internal {
-
-// 1D lifting primitives operating on a contiguous scratch line of odd
-// length m >= 3. Exposed for unit testing.
-//
-// Forward: odd entries become interpolation residuals; if `correct`, even
-// entries receive the L2 projection correction.
-void ForwardLine(double* u, std::size_t m, bool correct,
-                 std::vector<double>* scratch);
-// Exact inverse of ForwardLine.
-void InverseLine(double* u, std::size_t m, bool correct,
-                 std::vector<double>* scratch);
-
-// Solves the tridiagonal coarse-grid mass-matrix system M w = b in place
-// (b becomes w). The matrix is (H/6) * tridiag(1, 4, 1) with halved diagonal
-// at the two boundary rows, H = 2 (coarse spacing in units of the fine one).
-void SolveCoarseMass(double* b, std::size_t mc, std::vector<double>* scratch);
-
-}  // namespace internal
 
 }  // namespace mgardp
 

@@ -12,6 +12,11 @@ namespace mgardp {
 namespace {
 constexpr std::uint32_t kManifestMagic = 0x4D414E46;  // "MANF"
 constexpr std::uint32_t kManifestVersion = 1;
+// Smallest serialised manifest entry (52 bytes): two string lengths, the
+// int32 timestep, three extents and the stored byte count.
+constexpr std::size_t kMinEntryBytes =
+    2 * sizeof(std::uint64_t) + sizeof(std::int32_t) +
+    4 * sizeof(std::uint64_t);
 
 // Campaign coordinates become directory names; refuse anything that could
 // escape the repository root.
@@ -64,6 +69,11 @@ Result<FieldRepository> FieldRepository::Open(const std::string& root) {
   }
   std::uint64_t count = 0;
   MGARDP_RETURN_NOT_OK(r.Get(&count));
+  if (count > r.remaining() / kMinEntryBytes) {
+    return Status::Invalid("manifest at " + manifest_path + " claims " +
+                           std::to_string(count) + " entries in " +
+                           std::to_string(r.remaining()) + " bytes");
+  }
   repo.entries_.resize(count);
   for (Entry& e : repo.entries_) {
     MGARDP_RETURN_NOT_OK(r.GetString(&e.application));

@@ -89,7 +89,8 @@ class BinaryReader {
   Status GetVector(std::vector<T>* out) {
     std::uint64_t n = 0;
     MGARDP_RETURN_NOT_OK(Get(&n));
-    if (pos_ + n * sizeof(T) > size_) {
+    // Divide rather than multiply: n * sizeof(T) may wrap around.
+    if (n > remaining() / sizeof(T)) {
       return Status::OutOfRange("BinaryReader: truncated vector");
     }
     out->resize(n);
@@ -103,7 +104,7 @@ class BinaryReader {
   Status GetString(std::string* out) {
     std::uint64_t n = 0;
     MGARDP_RETURN_NOT_OK(Get(&n));
-    if (pos_ + n > size_) {
+    if (n > remaining()) {
       return Status::OutOfRange("BinaryReader: truncated string");
     }
     out->assign(data_ + pos_, n);
@@ -112,7 +113,7 @@ class BinaryReader {
   }
 
   Status GetBytes(void* out, std::size_t n) {
-    if (pos_ + n > size_) {
+    if (n > remaining()) {
       return Status::OutOfRange("BinaryReader: truncated bytes");
     }
     std::memcpy(out, data_ + pos_, n);

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <tuple>
 
+#include "decomposer_reference.h"
 #include "util/rng.h"
 #include "util/stats.h"
 

@@ -5,6 +5,7 @@
 #include <filesystem>
 
 #include "progressive/reconstructor.h"
+#include "util/io.h"
 #include "util/stats.h"
 
 namespace mgardp {
@@ -125,6 +126,22 @@ TEST_F(RepositoryTest, LoadMissingEntryFails) {
   auto loaded = repo.value().Load("warpx", "E_x", 7);
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
+}
+
+// A manifest whose entry count exceeds what its bytes could hold is
+// rejected before anything is allocated for the entries.
+TEST_F(RepositoryTest, RejectsManifestWithImpossibleEntryCount) {
+  std::filesystem::create_directories(root_);
+  BinaryWriter w;
+  w.Put<std::uint32_t>(0x4D414E46);  // "MANF"
+  w.Put<std::uint32_t>(1);
+  w.Put<std::uint64_t>(1000000000000);
+  ASSERT_EQ(w.buffer().size(), 16u);
+  ASSERT_TRUE(WriteFile(root_ + "/manifest.bin", w.buffer()).ok());
+  auto repo = FieldRepository::Open(root_);
+  ASSERT_FALSE(repo.ok());
+  EXPECT_EQ(repo.status().code(), StatusCode::kInvalidArgument)
+      << repo.status().ToString();
 }
 
 }  // namespace

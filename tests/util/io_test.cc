@@ -74,6 +74,32 @@ TEST(BinaryIoTest, TruncatedVectorFails) {
   EXPECT_FALSE(r.GetVector(&v).ok());
 }
 
+// A length prefix near 2^64 must not wrap the bounds check around and
+// reach the allocation.
+TEST(BinaryIoTest, HugeVectorLengthFails) {
+  BinaryWriter w;
+  w.Put<std::uint64_t>(std::uint64_t{1} << 61);  // 2^61 doubles = 2^64 bytes
+  w.Put<std::uint64_t>(0);
+  ASSERT_EQ(w.buffer().size(), 16u);
+  BinaryReader r(w.buffer());
+  std::vector<double> v;
+  const Status st = r.GetVector(&v);
+  EXPECT_EQ(st.code(), StatusCode::kOutOfRange) << st.ToString();
+  EXPECT_TRUE(v.empty());
+}
+
+TEST(BinaryIoTest, HugeStringLengthFails) {
+  BinaryWriter w;
+  w.Put<std::uint64_t>(~std::uint64_t{0} - 7);  // 2^64 - 8
+  w.Put<std::uint64_t>(0);
+  ASSERT_EQ(w.buffer().size(), 16u);
+  BinaryReader r(w.buffer());
+  std::string s;
+  const Status st = r.GetString(&s);
+  EXPECT_EQ(st.code(), StatusCode::kOutOfRange) << st.ToString();
+  EXPECT_TRUE(s.empty());
+}
+
 TEST(FileIoTest, WriteReadRoundTrip) {
   const std::string path =
       (std::filesystem::temp_directory_path() / "mgardp_io_test.bin").string();
