@@ -22,6 +22,11 @@ Result<double> VersionedEstimator::TryEstimate(
   return estimator_.TryEstimate(field, prefix);
 }
 
+std::optional<TermTable> VersionedEstimator::Terms(
+    const RefactoredField& field) const {
+  return estimator_.Terms(field);
+}
+
 std::string VersionedEstimator::name() const {
   return "e-mgard@v" + std::to_string(version_->version);
 }

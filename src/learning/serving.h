@@ -40,6 +40,7 @@ class VersionedEstimator : public ErrorEstimator {
                   const std::vector<int>& prefix) const override;
   Result<double> TryEstimate(const RefactoredField& field,
                              const std::vector<int>& prefix) const override;
+  std::optional<TermTable> Terms(const RefactoredField& field) const override;
   // "e-mgard@v<N>".
   std::string name() const override;
 

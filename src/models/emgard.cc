@@ -124,10 +124,10 @@ Result<EMgardModel> EMgardModel::TrainModel(
     }
   }
 
-  // Calibrate the safety margin: 95th percentile of actual/estimated over
-  // the (deduplicated) training rows, floored at 1. The max (quantile 1.0)
-  // makes the estimate conservative on every training row; violations can
-  // then only come from genuinely out-of-distribution retrieval states.
+  // Calibrate the safety margin: the maximum of actual/estimated over the
+  // (deduplicated) training rows, floored at 1. The maximum makes the
+  // estimate conservative on every training row; violations can then only
+  // come from genuinely out-of-distribution retrieval states.
   std::vector<double> ratios;
   for (const RetrievalRecord* rec : rows) {
     double est = 0.0;
@@ -149,36 +149,6 @@ Result<EMgardModel> EMgardModel::TrainModel(
     model.safety_margin_ = std::max(1.0, Quantile(ratios, 1.0));
   }
   return model;
-}
-
-std::vector<double> EMgardModel::BuildConstantInput(
-    const std::vector<double>& sketch, double level_error,
-    int bitplanes) const {
-  return LevelInput(sketch, level_error, bitplanes);
-}
-
-Result<dnn::Matrix> EMgardModel::PredictConstantKernel(
-    int level, const dnn::Matrix& inputs) const {
-  if (models_.empty()) {
-    return Status::FailedPrecondition("E-MGARD: model not trained");
-  }
-  if (level < 0 || level >= num_levels()) {
-    return Status::OutOfRange("E-MGARD: level out of range");
-  }
-  if (inputs.cols() != scalers_[level].num_features()) {
-    return Status::Invalid("E-MGARD: sketch size differs from training");
-  }
-  MGARDP_ASSIGN_OR_RETURN(dnn::Matrix xs, scalers_[level].Transform(inputs));
-  const dnn::Matrix out = models_[level].Predict(xs);
-  dnn::Matrix constants(out.rows(), 1);
-  for (std::size_t r = 0; r < out.rows(); ++r) {
-    MGARDP_ASSIGN_OR_RETURN(
-        const double log_c,
-        target_scalers_[level].InverseTransformValue(0, out(r, 0)));
-    constants(r, 0) = std::clamp(std::pow(10.0, log_c),
-                                 config_.min_constant, config_.max_constant);
-  }
-  return constants;
 }
 
 Result<std::vector<double>> EMgardModel::PredictConstantBatch(
@@ -205,11 +175,17 @@ Result<std::vector<double>> EMgardModel::PredictConstantBatch(
       x(r, c) = in[c];
     }
   }
-  MGARDP_ASSIGN_OR_RETURN(dnn::Matrix constants,
-                          PredictConstantKernel(level, x));
+  // Every step below is row-independent, so row r's constant is the same
+  // double whatever else shares the batch.
+  MGARDP_ASSIGN_OR_RETURN(dnn::Matrix xs, scalers_[level].Transform(x));
+  const dnn::Matrix predicted = models_[level].Predict(xs);
   std::vector<double> out(n);
   for (std::size_t r = 0; r < n; ++r) {
-    out[r] = constants(r, 0);
+    MGARDP_ASSIGN_OR_RETURN(
+        const double log_c,
+        target_scalers_[level].InverseTransformValue(0, predicted(r, 0)));
+    out[r] = std::clamp(std::pow(10.0, log_c), config_.min_constant,
+                        config_.max_constant);
   }
   return out;
 }
@@ -288,6 +264,45 @@ Result<double> LearnedConstantsEstimator::TryEstimate(
     est += c * level_err;
   }
   return est * model_->safety_margin();
+}
+
+std::optional<TermTable> LearnedConstantsEstimator::Terms(
+    const RefactoredField& field) const {
+  MGARDP_CHECK(model_ != nullptr);
+  TermTable table;
+  table.scale = model_->safety_margin();
+  table.term.resize(field.num_levels());
+  for (int l = 0; l < field.num_levels(); ++l) {
+    const auto& max_abs = field.level_errors[l].max_abs;
+    if (max_abs.empty()) {
+      return std::nullopt;
+    }
+    // Levels the model does not cover, and states with no error left,
+    // contribute nothing -- the rows TryEstimate skips.
+    table.term[l].assign(max_abs.size(), 0.0);
+    if (l >= model_->num_levels()) {
+      continue;
+    }
+    std::vector<EMgardModel::ConstantRequest> requests;
+    for (int b = 0; b < static_cast<int>(max_abs.size()); ++b) {
+      if (!(max_abs[b] <= 0.0)) {
+        requests.push_back({&field.level_sketches[l], max_abs[b], b});
+      }
+    }
+    if (requests.empty()) {
+      continue;
+    }
+    Result<std::vector<double>> constants =
+        model_->PredictConstantBatch(l, requests);
+    if (!constants.ok()) {
+      return std::nullopt;  // planners fall back to Estimate
+    }
+    for (std::size_t r = 0; r < requests.size(); ++r) {
+      table.term[l][requests[r].bitplanes] =
+          constants.value()[r] * requests[r].level_error;
+    }
+  }
+  return table;
 }
 
 double LearnedConstantsEstimator::Estimate(

@@ -72,30 +72,16 @@ class EMgardModel {
   };
 
   // Batched constant prediction: one multi-row forward pass per call. Row
-  // r is bit-identical to PredictConstant on request r alone.
+  // r is bit-identical to PredictConstant on request r alone. Thread-safe:
+  // no model state is written.
   Result<std::vector<double>> PredictConstantBatch(
       int level, const std::vector<ConstantRequest>& requests) const;
-
-  // The raw (unscaled) network input row for one retrieval state — what
-  // the inference batcher queues. Feed rows back through
-  // PredictConstantKernel to score them.
-  std::vector<double> BuildConstantInput(const std::vector<double>& sketch,
-                                         double level_error,
-                                         int bitplanes) const;
-
-  // Scores N stacked BuildConstantInput rows with level `level`'s network
-  // in one forward pass; returns an N x 1 matrix of clamped constants.
-  // This is the batch kernel shared by every prediction surface, so every
-  // path — single, batched, cross-request coalesced — runs the identical
-  // math. Thread-safe: no model state is written.
-  Result<dnn::Matrix> PredictConstantKernel(int level,
-                                            const dnn::Matrix& inputs) const;
 
   // Calibrated multiplier applied to the summed estimate. The greedy search
   // stops at the first state whose estimate meets the bound, which is
   // biased toward states the model is optimistic about (winner's curse);
-  // the margin is the high quantile of actual/estimated over the training
-  // rows, so the bias is paid for up front instead of as overshoot.
+  // the margin is the maximum of actual/estimated over the training rows,
+  // so the bias is paid for up front instead of as overshoot.
   double safety_margin() const { return safety_margin_; }
 
   std::string Serialize() const;
@@ -130,6 +116,10 @@ class LearnedConstantsEstimator : public ErrorEstimator {
                   const std::vector<int>& prefix) const override;
   Result<double> TryEstimate(const RefactoredField& field,
                              const std::vector<int>& prefix) const override;
+  // One PredictConstantBatch call per level over every plane count:
+  // term[l][b] = C_l(b) * Err[l][b], scale = safety_margin(). No table
+  // when the model cannot score the field.
+  std::optional<TermTable> Terms(const RefactoredField& field) const override;
   std::string name() const override { return "e-mgard"; }
 
  private:

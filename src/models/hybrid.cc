@@ -1,6 +1,6 @@
 #include "models/hybrid.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "models/features.h"
 
@@ -22,61 +22,20 @@ Result<RetrievalPlan> PlanHybrid(const RefactoredField& field,
   if (static_cast<int>(prefix.size()) != field.num_levels()) {
     return Status::Invalid("D-MGARD level count does not match the field");
   }
-  SizeInterpreter sizes = MakeSizeInterpreter(field);
-  Reconstructor verifier(&estimator);
-
-  double est = estimator.Estimate(field, prefix);
+  const double est = estimator.Estimate(field, prefix);
   if (dmgard_plan != nullptr) {
     dmgard_plan->prefix = prefix;
-    dmgard_plan->total_bytes = sizes.TotalBytes(prefix);
+    dmgard_plan->total_bytes = MakeSizeInterpreter(field).TotalBytes(prefix);
     dmgard_plan->estimated_error = est;
   }
   if (est > error_bound) {
     // Under-provisioned: extend greedily from the warm start.
-    MGARDP_ASSIGN_OR_RETURN(RetrievalPlan plan,
-                            verifier.PlanRefinement(field, prefix,
-                                                    error_bound));
-    return plan;
+    return Reconstructor(&estimator).PlanRefinement(field, prefix,
+                                                    error_bound);
   }
 
-  // Over-provisioned: trim. Each round, drop the plane block with the best
-  // bytes-recovered per error-increase that keeps the estimate within the
-  // bound; stop when no single-level trim fits.
-  bool trimmed = true;
-  while (trimmed) {
-    trimmed = false;
-    int best_level = -1;
-    std::size_t best_bytes = 0;
-    double best_est = est;
-    for (int l = 0; l < field.num_levels(); ++l) {
-      if (prefix[l] <= 0) {
-        continue;
-      }
-      std::vector<int> candidate = prefix;
-      --candidate[l];
-      const double cand_est = estimator.Estimate(field, candidate);
-      if (cand_est > error_bound) {
-        continue;
-      }
-      const std::size_t bytes = sizes.PlaneSize(l, candidate[l]);
-      if (best_level < 0 || bytes > best_bytes) {
-        best_level = l;
-        best_bytes = bytes;
-        best_est = cand_est;
-      }
-    }
-    if (best_level >= 0) {
-      --prefix[best_level];
-      est = best_est;
-      trimmed = true;
-    }
-  }
-
-  RetrievalPlan plan;
-  plan.prefix = std::move(prefix);
-  plan.estimated_error = est;
-  plan.total_bytes = sizes.TotalBytes(plan.prefix);
-  return plan;
+  // Over-provisioned: trim the planes D-MGARD did not need.
+  return TrimPlan(field, estimator, error_bound, std::move(prefix));
 }
 
 }  // namespace mgardp

@@ -79,36 +79,16 @@ std::shared_ptr<RequestContext> RequestContext::Create(
 
 void RequestContext::AppendSpan(const TraceEvent& event) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (spans_.size() + batch_spans_.size() >= max_spans_) {
+  if (spans_.size() >= max_spans_) {
     spans_dropped_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
   spans_.push_back(event);
 }
 
-void RequestContext::AppendBatchSpan(
-    const TraceEvent& event, std::vector<std::uint64_t> linked_trace_ids,
-    std::size_t rows) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (spans_.size() + batch_spans_.size() >= max_spans_) {
-    spans_dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  BatchLinkSpan span;
-  span.event = event;
-  span.linked_trace_ids = std::move(linked_trace_ids);
-  span.rows = rows;
-  batch_spans_.push_back(std::move(span));
-}
-
 std::vector<TraceEvent> RequestContext::spans() const {
   std::lock_guard<std::mutex> lock(mu_);
   return spans_;
-}
-
-std::vector<BatchLinkSpan> RequestContext::batch_spans() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return batch_spans_;
 }
 
 ScopedRequestContext::ScopedRequestContext(

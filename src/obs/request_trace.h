@@ -7,12 +7,7 @@
 // tenant, deadline, free-form baggage) and installed on the processing
 // thread with ScopedRequestContext. The ThreadPool propagates the ambient
 // context to its workers (util/parallel's context propagator), so spans
-// opened inside ParallelFor bodies land in the right request. The
-// InferenceBatcher captures each joiner's context at SubmitAsync and, when
-// the shared forward pass executes (possibly on another request's thread),
-// appends a batch span carrying *span links* — the trace ids of every
-// joiner — to each joiner's recorder, so one coalesced GEMM is
-// attributable to all of the requests that rode it.
+// opened inside ParallelFor bodies land in the right request.
 //
 // Span capture piggybacks on the PR-4 tracer: when the tracer's request
 // mode is on, Tracer::RecordInterval forwards every completed span to the
@@ -47,17 +42,9 @@
 namespace mgardp {
 namespace obs {
 
-// A batch span: one shared piece of work (e.g. a coalesced inference
-// forward pass) linked to every request that contributed rows to it.
-struct BatchLinkSpan {
-  TraceEvent event;
-  std::vector<std::uint64_t> linked_trace_ids;
-  std::size_t rows = 0;
-};
-
 // Per-request identity plus the flight-recorder buffer. Created via
-// Create() (always heap-allocated behind a shared_ptr, so the batcher can
-// retain joiners past the submitting scope via shared_from_this).
+// Create() (always heap-allocated behind a shared_ptr, so code running
+// under a scope can retain the context past it via shared_from_this).
 class RequestContext : public std::enable_shared_from_this<RequestContext> {
  public:
   static std::shared_ptr<RequestContext> Create(std::uint64_t trace_id,
@@ -71,15 +58,10 @@ class RequestContext : public std::enable_shared_from_this<RequestContext> {
   double deadline_ms() const { return deadline_ms_; }
   const std::string& baggage() const { return baggage_; }
 
-  // Thread-safe appends; past `max_spans` the span is dropped and counted
-  // (batch spans share the same budget).
+  // Thread-safe append; past `max_spans` the span is dropped and counted.
   void AppendSpan(const TraceEvent& event);
-  void AppendBatchSpan(const TraceEvent& event,
-                       std::vector<std::uint64_t> linked_trace_ids,
-                       std::size_t rows);
 
   std::vector<TraceEvent> spans() const;
-  std::vector<BatchLinkSpan> batch_spans() const;
   std::uint64_t spans_dropped() const {
     return spans_dropped_.load(std::memory_order_relaxed);
   }
@@ -97,7 +79,6 @@ class RequestContext : public std::enable_shared_from_this<RequestContext> {
 
   mutable std::mutex mu_;
   std::vector<TraceEvent> spans_;
-  std::vector<BatchLinkSpan> batch_spans_;
   std::atomic<std::uint64_t> spans_dropped_{0};
 };
 
@@ -105,7 +86,7 @@ class RequestContext : public std::enable_shared_from_this<RequestContext> {
 // lifetime (restoring the previous one on exit; scopes nest). A null ctx
 // is a no-op scope. The raw Current() pointer is what the tracer and the
 // pool propagator read; CurrentShared() is for code that must retain the
-// context past the scope (the batcher's joiner list).
+// context past the scope.
 class ScopedRequestContext {
  public:
   explicit ScopedRequestContext(std::shared_ptr<RequestContext> ctx);

@@ -37,8 +37,7 @@ std::string HexTraceId(std::uint64_t id) {
 }
 
 // One "X" span line for a request lane (no trailing separator).
-void AppendLaneSpan(std::ostringstream* os, int pid, const TraceEvent& ev,
-                    const std::string& extra_args) {
+void AppendLaneSpan(std::ostringstream* os, int pid, const TraceEvent& ev) {
   *os << "{\"name\":\"";
   AppendEscaped(os, ev.name);
   *os << "\",\"cat\":\"";
@@ -47,11 +46,7 @@ void AppendLaneSpan(std::ostringstream* os, int pid, const TraceEvent& ev,
   char buf[96];
   std::snprintf(buf, sizeof(buf), ",\"ts\":%.3f,\"dur\":%.3f", ev.ts_us,
                 ev.dur_us);
-  *os << buf;
-  if (!extra_args.empty()) {
-    *os << ",\"args\":{" << extra_args << "}";
-  }
-  *os << "}";
+  *os << buf << "}";
 }
 
 }  // namespace
@@ -129,20 +124,7 @@ std::string ToChromeRequestLanesJson(
               });
     for (const TraceEvent& ev : spans) {
       os << ",\n";
-      AppendLaneSpan(&os, pid, ev, "");
-    }
-    for (const BatchLinkSpan& batch : r.ctx->batch_spans()) {
-      std::ostringstream args;
-      args << "\"links\":\"";
-      for (std::size_t l = 0; l < batch.linked_trace_ids.size(); ++l) {
-        if (l > 0) {
-          args << ",";
-        }
-        args << HexTraceId(batch.linked_trace_ids[l]);
-      }
-      args << "\",\"rows\":" << batch.rows;
-      os << ",\n";
-      AppendLaneSpan(&os, pid, batch.event, args.str());
+      AppendLaneSpan(&os, pid, ev);
     }
   }
   os << "]\n";

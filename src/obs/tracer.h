@@ -150,12 +150,6 @@ class Tracer {
     return num_events_.load(std::memory_order_relaxed);
   }
 
-  // Microseconds since the tracer's epoch; lets externally-timed spans
-  // (the batcher's shared forward pass) stamp events on the same axis.
-  double ToMicros(std::chrono::steady_clock::time_point t) const {
-    return ToUs(t);
-  }
-
   struct StageSummary {
     std::string name;
     std::string category;

@@ -18,6 +18,17 @@ constexpr int kMaxPowExp = 80;
 
 }  // namespace
 
+double TermTable::Sum(const std::vector<int>& prefix) const {
+  MGARDP_DCHECK_EQ(prefix.size(), term.size());
+  double sum = 0.0;
+  for (std::size_t l = 0; l < term.size(); ++l) {
+    const int b =
+        std::clamp(prefix[l], 0, static_cast<int>(term[l].size()) - 1);
+    sum += term[l][b];
+  }
+  return sum * scale;
+}
+
 const double* TheoryEstimator::PowTable(int d) {
   // Cached exact std::pow values per dimensionality; thread-safe via the
   // magic static, and identical to calling std::pow at use time.
@@ -65,6 +76,23 @@ double TheoryEstimator::Estimate(const RefactoredField& field,
     est += LevelConstant(field, l) * max_abs[b];
   }
   return est;
+}
+
+std::optional<TermTable> TheoryEstimator::Terms(
+    const RefactoredField& field) const {
+  TermTable table;
+  table.term.resize(field.num_levels());
+  for (int l = 0; l < field.num_levels(); ++l) {
+    const auto& max_abs = field.level_errors[l].max_abs;
+    if (max_abs.empty()) {
+      return std::nullopt;
+    }
+    const double c = LevelConstant(field, l);
+    for (double err : max_abs) {
+      table.term[l].push_back(c * err);
+    }
+  }
+  return table;
 }
 
 const double* SNormEstimator::PowTable(int d) {

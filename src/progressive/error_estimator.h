@@ -12,12 +12,26 @@
 #ifndef MGARDP_PROGRESSIVE_ERROR_ESTIMATOR_H_
 #define MGARDP_PROGRESSIVE_ERROR_ESTIMATOR_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "progressive/refactored_field.h"
 
 namespace mgardp {
+
+// The separable form of an estimate on one field: scale times a sum of one
+// term per level. term[l][b] is level l's term with b planes fetched, for
+// every b in [0, level_errors[l].max_abs.size() - 1].
+struct TermTable {
+  std::vector<std::vector<double>> term;
+  double scale = 1.0;
+
+  // scale * sum_l term[l][clamp(prefix[l])], summed in level order from
+  // 0.0 -- the arithmetic of the estimators that build tables, so Sum is
+  // bit-identical to their Estimate.
+  double Sum(const std::vector<int>& prefix) const;
+};
 
 class ErrorEstimator {
  public:
@@ -40,6 +54,18 @@ class ErrorEstimator {
     return Estimate(field, prefix);
   }
 
+  // The per-field term table, for estimators whose estimate is a scaled
+  // per-level sum: TermTable::Sum(prefix) must equal Estimate(field,
+  // prefix) bit for bit. A greedy planning call builds it once and scores
+  // every candidate prefix from it. The default, std::nullopt, makes the
+  // planners call Estimate per candidate -- the right choice for
+  // estimators that are not separable (oracle, RMS) and for decorators,
+  // which must see every call; so does a table that cannot be built.
+  virtual std::optional<TermTable> Terms(
+      const RefactoredField& /*field*/) const {
+    return std::nullopt;
+  }
+
   virtual std::string name() const = 0;
 };
 
@@ -57,6 +83,8 @@ class TheoryEstimator : public ErrorEstimator {
 
   double Estimate(const RefactoredField& field,
                   const std::vector<int>& prefix) const override;
+  // term[l][b] = LevelConstant(field, l) * max_abs[b], scale 1.
+  std::optional<TermTable> Terms(const RefactoredField& field) const override;
   std::string name() const override { return "theory"; }
 
   // The per-level constant used for `field` (exposed for analysis benches).
@@ -64,10 +92,9 @@ class TheoryEstimator : public ErrorEstimator {
 
  private:
   double slack_;
-  // pow((1 + 1.5 * d), n) for d in {1, 2, 3}, n in [0, kMaxPowExp]. The
-  // planners issue O(levels * planes) Estimate calls per greedy step, so a
-  // libm pow per level per call dominates planning; the table holds the
-  // exact same std::pow values.
+  // pow((1 + 1.5 * d), n) for d in {1, 2, 3}, n in [0, kMaxPowExp]. A
+  // libm pow per level per Estimate call would dominate planning through a
+  // decorator; the table holds the exact same std::pow values.
   static const double* PowTable(int d);
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 
 #include "decompose/decomposer.h"
 #include "decompose/interleaver.h"
@@ -100,6 +101,24 @@ Result<Array3Dd> ReconstructFromSegments(const RefactoredField& field,
 
 namespace {
 
+// Scores candidate prefixes for one planning call: from the estimator's
+// per-field term table when it offers one, through Estimate otherwise.
+// Both give the same double, so a plan never depends on the path taken.
+class PrefixScorer {
+ public:
+  PrefixScorer(const RefactoredField& field, const ErrorEstimator& estimator)
+      : field_(field), estimator_(estimator), table_(estimator.Terms(field)) {}
+
+  double operator()(const std::vector<int>& prefix) const {
+    return table_ ? table_->Sum(prefix) : estimator_.Estimate(field_, prefix);
+  }
+
+ private:
+  const RefactoredField& field_;
+  const ErrorEstimator& estimator_;
+  const std::optional<TermTable> table_;
+};
+
 // One round of the greedy accuracy-efficiency search with block lookahead:
 // for every level, find the block of k >= 1 additional planes with the best
 // error-drop per compressed byte, and fetch the best block overall.
@@ -114,16 +133,15 @@ namespace {
 // only over segments that still verify), and a block is admissible only if
 // the plan's total stays within `byte_limit`. Returns false when no block
 // is admissible.
-bool GreedyStep(const RefactoredField& field, const SizeInterpreter& sizes,
-                const ErrorEstimator& estimator, const std::vector<int>& caps,
-                std::size_t byte_limit, std::vector<int>* prefix,
-                double* est) {
+bool GreedyStep(const SizeInterpreter& sizes, const PrefixScorer& score,
+                const std::vector<int>& caps, std::size_t byte_limit,
+                std::vector<int>* prefix, double* est) {
   const std::size_t spent = sizes.TotalBytes(*prefix);
   int best_level = -1;
   int best_count = 0;
   double best_eff = -std::numeric_limits<double>::infinity();
   double best_est = *est;
-  for (int l = 0; l < field.num_levels(); ++l) {
+  for (int l = 0; l < static_cast<int>(prefix->size()); ++l) {
     std::vector<int> candidate = *prefix;
     double block_bytes = 0.0;
     for (int k = 1; (*prefix)[l] + k <= caps[l]; ++k) {
@@ -133,7 +151,7 @@ bool GreedyStep(const RefactoredField& field, const SizeInterpreter& sizes,
       if (spent + static_cast<std::size_t>(block_bytes) > byte_limit) {
         break;  // this and all longer blocks exceed the limit
       }
-      const double cand_est = estimator.Estimate(field, candidate);
+      const double cand_est = score(candidate);
       const double eff = (*est - cand_est) / block_bytes;
       if (eff > best_eff) {
         best_eff = eff;
@@ -151,27 +169,22 @@ bool GreedyStep(const RefactoredField& field, const SizeInterpreter& sizes,
   return true;
 }
 
-// Post-pass: drop planes the greedy over-committed. Block fetches can
-// overshoot the bound (a whole block is taken for its efficiency even when
-// its tail was not needed), so after the bound is met we repeatedly remove
-// the largest removable last-plane that keeps the estimate within the
-// bound. Guarantees per-level suffix minimality of the final plan.
-void TrimPlan(const RefactoredField& field, const SizeInterpreter& sizes,
-              const ErrorEstimator& estimator, double error_bound,
-              std::vector<int>* prefix, double* est) {
+// TrimPlan's loop, scoring through an existing scorer.
+void Trim(const SizeInterpreter& sizes, const PrefixScorer& score,
+          double error_bound, std::vector<int>* prefix, double* est) {
   bool trimmed = true;
   while (trimmed) {
     trimmed = false;
     int best_level = -1;
     std::size_t best_bytes = 0;
     double best_est = *est;
-    for (int l = 0; l < field.num_levels(); ++l) {
+    for (int l = 0; l < static_cast<int>(prefix->size()); ++l) {
       if ((*prefix)[l] <= 0) {
         continue;
       }
       std::vector<int> candidate = *prefix;
       --candidate[l];
-      const double cand_est = estimator.Estimate(field, candidate);
+      const double cand_est = score(candidate);
       if (cand_est > error_bound) {
         continue;
       }
@@ -196,7 +209,7 @@ constexpr double kNoBound = -std::numeric_limits<double>::infinity();
 
 // The greedy planning loop behind every planner: from `prefix` (within
 // `caps`), take GreedySteps while the estimate is above `error_bound` and
-// some block is admissible. `trim` runs TrimPlan once the bound is met;
+// some block is admissible. `trim` runs Trim once the bound is met;
 // `visited`, when non-null, receives every prefix state, start included.
 RetrievalPlan GreedyPlan(const RefactoredField& field,
                          const ErrorEstimator& estimator, double error_bound,
@@ -205,15 +218,16 @@ RetrievalPlan GreedyPlan(const RefactoredField& field,
                          bool trim = false,
                          std::vector<std::vector<int>>* visited = nullptr) {
   SizeInterpreter sizes = MakeSizeInterpreter(field);
-  double est = estimator.Estimate(field, prefix);
+  const PrefixScorer score(field, estimator);
+  double est = score(prefix);
   do {
     if (visited != nullptr) {
       visited->push_back(prefix);
     }
-  } while (est > error_bound && GreedyStep(field, sizes, estimator, caps,
-                                           byte_limit, &prefix, &est));
+  } while (est > error_bound &&
+           GreedyStep(sizes, score, caps, byte_limit, &prefix, &est));
   if (trim && est <= error_bound) {
-    TrimPlan(field, sizes, estimator, error_bound, &prefix, &est);
+    Trim(sizes, score, error_bound, &prefix, &est);
   }
   RetrievalPlan plan;
   plan.total_bytes = sizes.TotalBytes(prefix);
@@ -278,6 +292,20 @@ Result<RetrievalPlan> PlanConstrained(const RefactoredField& field,
     start[l] = std::clamp(have[l], 0, limits[l]);
   }
   return GreedyPlan(field, estimator, error_bound, std::move(start), limits);
+}
+
+RetrievalPlan TrimPlan(const RefactoredField& field,
+                       const ErrorEstimator& estimator, double error_bound,
+                       std::vector<int> prefix) {
+  SizeInterpreter sizes = MakeSizeInterpreter(field);
+  const PrefixScorer score(field, estimator);
+  double est = score(prefix);
+  Trim(sizes, score, error_bound, &prefix, &est);
+  RetrievalPlan plan;
+  plan.total_bytes = sizes.TotalBytes(prefix);
+  plan.prefix = std::move(prefix);
+  plan.estimated_error = est;
+  return plan;
 }
 
 Result<RetrievalPlan> Reconstructor::PlanWithinBudget(

@@ -117,6 +117,17 @@ Result<RetrievalPlan> PlanConstrained(const RefactoredField& field,
                                       const std::vector<int>& have,
                                       const std::vector<int>& caps);
 
+// Post-pass that drops planes a plan over-committed. Block fetches can
+// overshoot the bound (a whole block is taken for its efficiency even when
+// its tail was not needed), and a warm-start prefix (PlanHybrid) can carry
+// planes it never needed. Starting from `prefix`, which meets
+// `error_bound`, repeatedly removes the largest last plane of any level
+// whose removal keeps the estimate within the bound. Guarantees per-level
+// suffix minimality of the returned plan.
+RetrievalPlan TrimPlan(const RefactoredField& field,
+                       const ErrorEstimator& estimator, double error_bound,
+                       std::vector<int> prefix);
+
 // A SizeInterpreter over the field's compressed plane sizes.
 SizeInterpreter MakeSizeInterpreter(const RefactoredField& field);
 

@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "dnn/batcher.h"
 #include "obs/request_trace.h"
 #include "obs/slo.h"
 #include "obs/tracer.h"
@@ -122,11 +121,6 @@ void RetrievalScheduler::Process(Item* item) const {
   const double deadline =
       req.deadline_ms > 0.0 ? req.deadline_ms : options_.default_deadline_ms;
   RetryPolicy retry(ClampRetryToDeadline(options_.retry, deadline));
-  // Any inference batching under this request may not donate more delay to
-  // batch formation than the request's deadline affords (no deadline: no
-  // clamp). Mirrors ClampRetryToDeadline — retries and batching both trade
-  // throughput against the same latency budget.
-  dnn::ScopedInferenceDeadline inference_deadline(deadline);
 
   Response response;
   RetrievalSession::Refinement refinement;

@@ -68,7 +68,7 @@ class RetrievalScheduler {
     std::size_t per_tenant_capacity = 0;
     // Non-owning observability hooks, both optional. The flight recorder
     // mints a RequestContext per admitted request (propagated through the
-    // pool and batcher via ScopedRequestContext) and tail-samples the
+    // pool via ScopedRequestContext) and tail-samples the
     // outcome; the SLO monitor counts every completion and shed against
     // its objectives.
     obs::RequestTraceRecorder* flight_recorder = nullptr;
@@ -122,7 +122,7 @@ class RetrievalScheduler {
     // time ("sched/queue_wait" vs "sched/service" spans).
     std::chrono::steady_clock::time_point submitted;
     // Set iff Options::flight_recorder is; kept alive through Process() so
-    // batch spans appended by peers after completion still land somewhere.
+    // spans recorded on pool threads still land somewhere.
     std::shared_ptr<obs::RequestContext> ctx;
   };
 

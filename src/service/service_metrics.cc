@@ -1,6 +1,5 @@
 #include "service/service_metrics.h"
 
-#include <algorithm>
 #include <cstdio>
 
 #include "obs/audit.h"
@@ -25,11 +24,7 @@ ServiceMetrics::ServiceMetrics()
     : latency_ms_(Histogram::Options{1e-3, 1.25, 96}),
       // Candidate/incumbent byte ratios cluster around 1; 10% geometric
       // buckets over [0.01, ~2e3] match the audit ratio histograms.
-      shadow_byte_ratio_(Histogram::Options{1e-2, 1.1, 128}),
-      // Batch sizes 1..~43k at 25% resolution.
-      inference_batch_rows_(Histogram::Options{1.0, 1.25, 48}),
-      // Queue delays from a microsecond up; same shape as latency_ms_.
-      inference_queue_delay_ms_(Histogram::Options{1e-3, 1.25, 96}) {}
+      shadow_byte_ratio_(Histogram::Options{1e-2, 1.1, 128}) {}
 
 void ServiceMetrics::OnCacheHit(std::size_t bytes) {
   Add(kCacheHits, 1);
@@ -86,15 +81,6 @@ void ServiceMetrics::OnShadowPair(double byte_ratio) {
   if (byte_ratio > 0.0) {
     shadow_byte_ratio_.Record(byte_ratio);
   }
-}
-
-void ServiceMetrics::OnInferenceRows(std::size_t n) { Add(kInferenceRows, n); }
-
-void ServiceMetrics::OnInferenceBatch(std::size_t batch_size,
-                                      double queue_delay_ms) {
-  Add(kInferenceBatches, 1);
-  inference_batch_rows_.Record(static_cast<double>(batch_size));
-  inference_queue_delay_ms_.Record(std::max(queue_delay_ms, 0.0));
 }
 
 void ServiceMetrics::OnAdmitted(std::size_t queue_depth_now) {
@@ -265,39 +251,6 @@ const ServiceMetrics::Metric ServiceMetrics::kMetrics[] = {
      .help = "Mean candidate/incumbent fetched-byte ratio while shadowing.",
      .histogram = &ServiceMetrics::shadow_byte_ratio_, .stat = Stat::kMean,
      .f64 = &Snapshot::shadow_byte_ratio_mean},
-    {.json = "inference_rows", .prom = "mgardp_service_inference_rows_total",
-     .type = "counter",
-     .help = "Model-prediction rows requested (batched or not).",
-     .counter = kInferenceRows, .u64 = &Snapshot::inference_rows},
-    {.json = "inference_batches",
-     .prom = "mgardp_service_inference_batches_total", .type = "counter",
-     .help = "Coalesced inference batches executed.",
-     .counter = kInferenceBatches, .u64 = &Snapshot::inference_batches},
-    {.json = "inference_batch_rows_mean",
-     .prom = "mgardp_service_inference_batch_rows_mean", .type = "gauge",
-     .help = "Mean rows per coalesced inference batch.",
-     .histogram = &ServiceMetrics::inference_batch_rows_, .stat = Stat::kMean,
-     .f64 = &Snapshot::inference_batch_rows_mean},
-    {.json = "inference_batch_rows_max",
-     .prom = "mgardp_service_inference_batch_rows_max", .type = "gauge",
-     .help = "Largest coalesced inference batch.",
-     .histogram = &ServiceMetrics::inference_batch_rows_, .stat = Stat::kMax,
-     .f64 = &Snapshot::inference_batch_rows_max},
-    {.json = "inference_queue_delay_p50_ms",
-     .prom = "mgardp_service_inference_queue_delay_ms_p50", .type = "gauge",
-     .help = "Median batching delay of the oldest row per batch (ms).",
-     .histogram = &ServiceMetrics::inference_queue_delay_ms_,
-     .stat = Stat::kP50, .f64 = &Snapshot::inference_queue_delay_p50_ms},
-    {.json = "inference_queue_delay_p99_ms",
-     .prom = "mgardp_service_inference_queue_delay_ms_p99", .type = "gauge",
-     .help = "99th-percentile inference batching delay (ms).",
-     .histogram = &ServiceMetrics::inference_queue_delay_ms_,
-     .stat = Stat::kP99, .f64 = &Snapshot::inference_queue_delay_p99_ms},
-    {.json = "inference_queue_delay_max_ms",
-     .prom = "mgardp_service_inference_queue_delay_ms_max", .type = "gauge",
-     .help = "Largest inference batching delay (ms).",
-     .histogram = &ServiceMetrics::inference_queue_delay_ms_,
-     .stat = Stat::kMax, .f64 = &Snapshot::inference_queue_delay_max_ms},
     {.json = "requests_admitted",
      .prom = "mgardp_service_requests_admitted_total", .type = "counter",
      .help = "Requests admitted by the scheduler.",

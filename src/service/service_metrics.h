@@ -68,14 +68,6 @@ class ServiceMetrics {
   // incumbent bytes for the same request (the shadow-delta histogram).
   void OnShadowPair(double byte_ratio);
 
-  // -- batched inference -----------------------------------------------
-  // `n` model-prediction rows were requested (batched or not) — the
-  // numerator of predictions/sec.
-  void OnInferenceRows(std::size_t n);
-  // One coalesced batch of `batch_size` rows executed after its oldest
-  // row waited `queue_delay_ms` for company.
-  void OnInferenceBatch(std::size_t batch_size, double queue_delay_ms);
-
   // -- scheduler -------------------------------------------------------
   void OnAdmitted(std::size_t queue_depth_now);
   void OnRejected();
@@ -114,14 +106,6 @@ class ServiceMetrics {
     double shadow_byte_ratio_p50 = 0.0;
     double shadow_byte_ratio_p90 = 0.0;
     double shadow_byte_ratio_mean = 0.0;
-
-    std::uint64_t inference_rows = 0;
-    std::uint64_t inference_batches = 0;
-    double inference_batch_rows_mean = 0.0;
-    double inference_batch_rows_max = 0.0;
-    double inference_queue_delay_p50_ms = 0.0;
-    double inference_queue_delay_p99_ms = 0.0;
-    double inference_queue_delay_max_ms = 0.0;
 
     std::uint64_t requests_admitted = 0;
     std::uint64_t requests_rejected = 0;
@@ -184,7 +168,6 @@ class ServiceMetrics {
     kRetries, kFailovers, kReplicasLost,
     kRetrains, kModelPromotions, kCandidateRejections, kModelRollbacks,
     kShadowPairs,
-    kInferenceRows, kInferenceBatches,
     kRequestsAdmitted, kRequestsRejected, kRequestsStarted,
     kRequestsCompleted, kRequestsFailed, kQueueDepth, kQueueDepthPeak,
     kNumCounters
@@ -199,8 +182,6 @@ class ServiceMetrics {
   // Declared in the constructor's initialisation order.
   Histogram latency_ms_;
   Histogram shadow_byte_ratio_;
-  Histogram inference_batch_rows_;
-  Histogram inference_queue_delay_ms_;
 };
 
 // Renders a metrics snapshot into a Prometheus exposition: one

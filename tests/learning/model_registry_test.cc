@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "learning/serving.h"
 #include "models/training_data.h"
 #include "sim/dataset.h"
 
@@ -114,6 +115,26 @@ TEST_F(ModelRegistryTest, PromoteSwapsServingAndHandleObservesIt) {
   ASSERT_TRUE(registry.Promote("dmgard", 2).ok());
   EXPECT_EQ(serving->version, 1);  // the pinned epoch is untouched
   EXPECT_EQ(handle.load()->version, 2);
+}
+
+// The session provider leases an estimator only once an E-MGARD version
+// serves; until then (and for D-MGARD ids) sessions keep their fallback.
+TEST_F(ModelRegistryTest, ProviderHandsOutEmptyLeaseUntilPromotion) {
+  ModelRegistry registry;
+  EstimatorProvider provider =
+      MakeRegistryEstimatorProvider(&registry, "emgard");
+  EXPECT_EQ(provider().estimator, nullptr);
+  ASSERT_TRUE(registry.Publish("emgard", *emgard_blob_).ok());
+  EXPECT_EQ(provider().estimator, nullptr);  // candidate, not serving
+  ASSERT_TRUE(registry.Promote("emgard", 1).ok());
+  const EstimatorLease lease = provider();
+  ASSERT_NE(lease.estimator, nullptr);
+  EXPECT_EQ(lease.audit_model_id, "emgard@v1");
+
+  ASSERT_TRUE(registry.Publish("dmgard", *dmgard_blob_).ok());
+  ASSERT_TRUE(registry.Promote("dmgard", 1).ok());
+  EXPECT_EQ(MakeRegistryEstimatorProvider(&registry, "dmgard")().estimator,
+            nullptr);
 }
 
 TEST_F(ModelRegistryTest, RollbackReturnsToPreviousServing) {

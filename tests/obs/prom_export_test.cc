@@ -152,8 +152,7 @@ TEST(PromExportTest, CombinedAuditAndServiceRenderPassesValidator) {
         "mgardp_service_single_flight_shared_bytes_total",
         "mgardp_service_requests_started_total",
         "mgardp_service_request_latency_samples_total",
-        "mgardp_service_shadow_byte_ratio_mean",
-        "mgardp_service_inference_queue_delay_ms_max"}) {
+        "mgardp_service_shadow_byte_ratio_mean"}) {
     EXPECT_NE(w.str().find(std::string("# TYPE ") + family + " "),
               std::string::npos)
         << family;

@@ -1,5 +1,5 @@
 // Request-scoped tracing: context identity and TLS scoping, span capture
-// through the tracer's request mode, pool and batcher hops, the bounded
+// through the tracer's request mode, pool hops, the bounded
 // per-request buffer, and the tail-sampling flight recorder.
 
 #include "obs/request_trace.h"
@@ -14,7 +14,6 @@
 #include <thread>
 #include <vector>
 
-#include "dnn/batcher.h"
 #include "obs/trace_export.h"
 #include "obs/tracer.h"
 #include "util/parallel.h"
@@ -81,8 +80,7 @@ TEST(RequestTraceTest, CurrentSharedRetainsPastScope) {
     grabbed = ScopedRequestContext::CurrentShared();
     ASSERT_NE(grabbed, nullptr);
   }
-  // The scope is gone, the shared handle still works (the batcher's
-  // joiner-list lifetime).
+  // The scope is gone, the shared handle still works.
   EXPECT_EQ(grabbed->trace_id(), 7u);
   grabbed->AppendSpan(MakeEvent());
   EXPECT_EQ(grabbed->spans().size(), 1u);
@@ -116,10 +114,8 @@ TEST(RequestTraceTest, SpanBudgetDropsBeyondMaxAndCountsExactly) {
   for (int i = 0; i < 20; ++i) {
     ctx->AppendSpan(MakeEvent());
   }
-  ctx->AppendBatchSpan(MakeEvent("t/batch"), {1, 2}, 2);
   EXPECT_EQ(ctx->spans().size(), 8u);
-  EXPECT_EQ(ctx->batch_spans().size(), 0u);  // shared budget already full
-  EXPECT_EQ(ctx->spans_dropped(), 13u);
+  EXPECT_EQ(ctx->spans_dropped(), 12u);
 }
 
 TEST(RequestTraceTest, ContextSurvivesParallelForHop) {
@@ -309,72 +305,12 @@ TEST(RequestTraceTest, ConcurrentFinishLosesNothing) {
   EXPECT_EQ(recorder.retained().size(), 128u);
 }
 
-// ---- batcher span links ----------------------------------------------------
-
-TEST(RequestTraceTest, BatcherLinksEveryJoinerAcrossThreads) {
-  // Request mode on the GLOBAL tracer: the batcher reads it to decide
-  // whether to collect joiners. Restore on exit so other tests see the
-  // process default.
-  GlobalTracer().set_request_tracing(true);
-  dnn::InferenceBatcher::Options bopts;
-  bopts.max_batch = 2;  // the second submitter flushes inline
-  bopts.max_delay_ms = 1000.0;
-  bopts.claim_after_yields = SIZE_MAX;  // first waiter must not flush solo
-  dnn::InferenceBatcher batcher(bopts);
-
-  RequestTraceRecorder recorder;
-  auto ctx_a = recorder.StartRequest("a", 0.0, "");
-  auto ctx_b = recorder.StartRequest("b", 0.0, "");
-  auto kernel = [](const dnn::Matrix& in) -> Result<dnn::Matrix> {
-    dnn::Matrix out(in.rows(), in.cols());
-    for (std::size_t r = 0; r < in.rows(); ++r) {
-      for (std::size_t c = 0; c < in.cols(); ++c) {
-        out(r, c) = 2.0 * in(r, c);
-      }
-    }
-    return out;
-  };
-
-  std::thread first([&] {
-    ScopedRequestContext scope(ctx_a);
-    auto result = batcher.Submit("k", {1.0}, kernel);
-    ASSERT_TRUE(result.ok());
-  });
-  // Let the first row queue, then fill the batch from this thread.
-  while (batcher.pending_rows() == 0) {
-    std::this_thread::yield();
-  }
-  {
-    ScopedRequestContext scope(ctx_b);
-    auto result = batcher.Submit("k", {2.0}, kernel);
-    ASSERT_TRUE(result.ok());
-    EXPECT_DOUBLE_EQ(result.value()[0], 4.0);
-  }
-  first.join();
-  GlobalTracer().set_request_tracing(false);
-
-  // One shared forward pass, linked into BOTH joiners' recorders — even
-  // though the kernel ran on only one of the two threads.
-  for (const auto& ctx : {ctx_a, ctx_b}) {
-    const auto batches = ctx->batch_spans();
-    ASSERT_EQ(batches.size(), 1u);
-    EXPECT_STREQ(batches[0].event.name, "dnn/batch_infer");
-    EXPECT_EQ(batches[0].rows, 2u);
-    std::set<std::uint64_t> links(batches[0].linked_trace_ids.begin(),
-                                  batches[0].linked_trace_ids.end());
-    EXPECT_EQ(links.size(), 2u);
-    EXPECT_TRUE(links.count(ctx_a->trace_id()) == 1);
-    EXPECT_TRUE(links.count(ctx_b->trace_id()) == 1);
-  }
-}
-
 // ---- export ----------------------------------------------------------------
 
 TEST(RequestTraceTest, RequestLanesExportOneEventPerLineWithArgs) {
   RequestTraceRecorder recorder;
   auto ctx = recorder.StartRequest("tenant9", 125.0, "key=val");
   ctx->AppendSpan(MakeEvent("t/work"));
-  ctx->AppendBatchSpan(MakeEvent("t/batch"), {0xabc, 0xdef}, 3);
   recorder.FinishRequest(ctx, Status::Internal("boom"), 9.5);
 
   const std::string json = ToChromeRequestLanesJson(recorder.retained());
@@ -385,10 +321,8 @@ TEST(RequestTraceTest, RequestLanesExportOneEventPerLineWithArgs) {
   EXPECT_NE(json.find("\"latency_ms\":9.500"), std::string::npos);
   EXPECT_NE(json.find("\"deadline_ms\":125.000"), std::string::npos);
   EXPECT_NE(json.find("\"baggage\":\"key=val\""), std::string::npos);
-  // The spans and the batch link args.
+  // The span.
   EXPECT_NE(json.find("\"name\":\"t/work\""), std::string::npos);
-  EXPECT_NE(json.find("\"links\":\"0xabc,0xdef\""), std::string::npos);
-  EXPECT_NE(json.find("\"rows\":3"), std::string::npos);
   // One event per line: every line break sits between objects.
   EXPECT_NE(json.find("},\n{"), std::string::npos);
 }

@@ -45,9 +45,6 @@ void DriveEveryMutator(ServiceMetrics* m) {
   repeat(15, [&](int) { m->OnModelRolledBack(); });
   repeat(16, [&](int i) { m->OnShadowPair(0.5 + 0.1 * i); });
   m->OnShadowPair(0.0);  // counted, but no ratio to record
-  m->OnInferenceRows(48);
-  repeat(120, [&](int i) { m->OnInferenceBatch(i % 17 + 1, 0.05 * i); });
-  m->OnInferenceBatch(64, 100.0);  // an outlier, so p99 != max
   repeat(18, [&](int i) { m->OnAdmitted(i % 7); });
   repeat(19, [&](int) { m->OnRejected(); });
   repeat(5, [&](int i) { m->OnStarted(4, 6 - i); });
@@ -209,12 +206,7 @@ TEST(ServiceMetricsTest, GoldenJsonAndPromFamilies) {
       ",\"model_rollbacks\":15,\"shadow_pairs\":17"
       ",\"shadow_byte_ratio_p50\":1.291299"
       ",\"shadow_byte_ratio_p90\":1.985121"
-      ",\"shadow_byte_ratio_mean\":1.250000,\"inference_rows\":48"
-      ",\"inference_batches\":121,\"inference_batch_rows_mean\":9.388430"
-      ",\"inference_batch_rows_max\":64.000000"
-      ",\"inference_queue_delay_p50_ms\":3.030130"
-      ",\"inference_queue_delay_p99_ms\":6.018531"
-      ",\"inference_queue_delay_max_ms\":100.000000"
+      ",\"shadow_byte_ratio_mean\":1.250000"
       ",\"requests_admitted\":18,\"requests_rejected\":19"
       ",\"requests_started\":20,\"requests_completed\":1000"
       ",\"requests_failed\":23,\"queue_depth\":2,\"queue_depth_peak\":6"
@@ -285,24 +277,6 @@ mgardp_service_shadow_byte_ratio_p50 1.29129938
 # HELP mgardp_service_shadow_byte_ratio_p90 90th-percentile candidate/incumbent fetched-byte ratio.
 # TYPE mgardp_service_shadow_byte_ratio_p90 gauge
 mgardp_service_shadow_byte_ratio_p90 1.985121
-# HELP mgardp_service_inference_rows_total Model-prediction rows requested (batched or not).
-# TYPE mgardp_service_inference_rows_total counter
-mgardp_service_inference_rows_total 48
-# HELP mgardp_service_inference_batches_total Coalesced inference batches executed.
-# TYPE mgardp_service_inference_batches_total counter
-mgardp_service_inference_batches_total 121
-# HELP mgardp_service_inference_batch_rows_mean Mean rows per coalesced inference batch.
-# TYPE mgardp_service_inference_batch_rows_mean gauge
-mgardp_service_inference_batch_rows_mean 9.38842975
-# HELP mgardp_service_inference_batch_rows_max Largest coalesced inference batch.
-# TYPE mgardp_service_inference_batch_rows_max gauge
-mgardp_service_inference_batch_rows_max 64
-# HELP mgardp_service_inference_queue_delay_ms_p50 Median batching delay of the oldest row per batch (ms).
-# TYPE mgardp_service_inference_queue_delay_ms_p50 gauge
-mgardp_service_inference_queue_delay_ms_p50 3.03012978
-# HELP mgardp_service_inference_queue_delay_ms_p99 99th-percentile inference batching delay (ms).
-# TYPE mgardp_service_inference_queue_delay_ms_p99 gauge
-mgardp_service_inference_queue_delay_ms_p99 6.01853108
 # HELP mgardp_service_requests_admitted_total Requests admitted by the scheduler.
 # TYPE mgardp_service_requests_admitted_total counter
 mgardp_service_requests_admitted_total 18
@@ -345,7 +319,7 @@ mgardp_service_request_latency_ms_max 1000
   const std::map<std::string, std::string> actual = PromFamilies(w.str());
   const std::map<std::string, std::string> expected =
       PromFamilies(kPromFamilies);
-  ASSERT_EQ(expected.size(), 39u);
+  ASSERT_EQ(expected.size(), 33u);
   for (const auto& [name, family] : expected) {
     const auto it = actual.find(name);
     ASSERT_NE(it, actual.end()) << "missing family " << name;
@@ -393,8 +367,6 @@ TEST(ServiceMetricsTest, ConcurrentMutatorsAddUpExactly) {
         m.OnCandidateRejected();
         m.OnModelRolledBack();
         m.OnShadowPair(1.0);
-        m.OnInferenceRows(7);
-        m.OnInferenceBatch(4, 0.5);
         m.OnAdmitted(static_cast<std::size_t>(t + 1));
         m.OnRejected();
         m.OnStarted(2, 0);
@@ -432,10 +404,6 @@ TEST(ServiceMetricsTest, ConcurrentMutatorsAddUpExactly) {
   EXPECT_EQ(s.model_rollbacks, n);
   EXPECT_EQ(s.shadow_pairs, n);
   EXPECT_DOUBLE_EQ(s.shadow_byte_ratio_mean, 1.0);
-  EXPECT_EQ(s.inference_rows, 7 * n);
-  EXPECT_EQ(s.inference_batches, n);
-  EXPECT_DOUBLE_EQ(s.inference_batch_rows_mean, 4.0);
-  EXPECT_DOUBLE_EQ(s.inference_queue_delay_max_ms, 0.5);
   EXPECT_EQ(s.requests_admitted, n);
   EXPECT_EQ(s.requests_rejected, n);
   EXPECT_EQ(s.requests_started, 2 * n);

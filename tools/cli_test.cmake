@@ -169,23 +169,6 @@ run_cli(1 trace-report)
 run_cli(2 trace-report --input ${WORK}/no_such_lanes.json)
 run_cli(1 serve-bench --trace-requests)
 
-# Batched-inference bench smoke: a tiny closed loop must finish, write its
-# JSON report, and prove batched == unbatched bit-identity (exit 2 if not).
-run_cli(0 serve-bench --batch-inference --dims 9,9,9 --frames 1 --epochs 2
-        --clients 2 --requests 2 --burst 2 --repeat 1
-        --json ${WORK}/bench_infer.json)
-if(NOT EXISTS ${WORK}/bench_infer.json)
-  message(FATAL_ERROR "infer bench did not write its JSON report")
-endif()
-file(READ ${WORK}/bench_infer.json infer_json)
-if(NOT infer_json MATCHES "\"bit_identical\":true")
-  message(FATAL_ERROR "batched inference not bit-identical:\n${infer_json}")
-endif()
-if(NOT infer_json MATCHES "\"predictions_per_sec\":")
-  message(FATAL_ERROR "infer bench JSON lacks predictions_per_sec:\n"
-                      "${infer_json}")
-endif()
-
 # Error-control audit: the baseline-only quick run prints the per-model
 # table, and --prom leaves a Prometheus exposition behind.
 run_cli(0 audit --app warpx --field J_x --dims 9,9,9 --timesteps 2

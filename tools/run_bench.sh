@@ -9,7 +9,7 @@
 # BENCH_bitplane.json, BENCH_lossless.json, BENCH_obs.json, and
 # BENCH_serve.json there. Additional suites can be selected via
 # MGARDP_BENCH_SUITES, a space-separated subset of: pipeline bitplane
-# decompose dnn lossless storage obs serve cluster audit retrain infer. The
+# decompose dnn lossless storage obs serve cluster audit retrain. The
 # `serve` suite drives
 # the in-process retrieval service through the CLI (throughput and cache
 # hit rate at 1/8/64 concurrent clients) instead of a google-benchmark
@@ -29,13 +29,7 @@
 # Gray-Scott-trained model is hit with WarpX traffic mid-run, the audit
 # drift trigger refits and shadow-promotes a replacement without a
 # restart, and BENCH_retrain.json records the per-phase violation rates,
-# retrain/promotion counters, and the junk-candidate rejection proof. The
-# `infer` suite runs the batched-inference closed loop (`mgardp serve-bench
-# --batch-inference`): concurrent sessions score planner-step bursts through
-# the E-MGARD estimator with and without the inference batcher (interleaved
-# repeats so machine noise hits both arms equally), and BENCH_infer.json
-# records predictions/sec and p50/p99 burst latency for both modes plus the
-# batched-vs-direct bit-identity verdict.
+# retrain/promotion counters, and the junk-candidate rejection proof.
 
 set -euo pipefail
 
@@ -98,24 +92,6 @@ for suite in ${suites}; do
       --dims "${MGARDP_BENCH_RETRAIN_DIMS:-17,17,17}" \
       --frames "${MGARDP_BENCH_RETRAIN_FRAMES:-6}" \
       --epochs "${MGARDP_BENCH_RETRAIN_EPOCHS:-120}" \
-      --json "${out}"
-    continue
-  fi
-  if [[ "${suite}" == "infer" ]]; then
-    cli="${build_dir}/tools/mgardp"
-    if [[ ! -x "${cli}" ]]; then
-      echo "error: CLI binary '${cli}' not built" >&2
-      exit 1
-    fi
-    out="${out_dir}/BENCH_infer.json"
-    echo "== batched-inference bench -> ${out}"
-    "${cli}" serve-bench --batch-inference \
-      --dims "${MGARDP_BENCH_INFER_DIMS:-17,17,17}" \
-      --frames "${MGARDP_BENCH_INFER_FRAMES:-2}" \
-      --clients "${MGARDP_BENCH_INFER_CLIENTS:-16}" \
-      --requests "${MGARDP_BENCH_INFER_REQUESTS:-80}" \
-      --burst "${MGARDP_BENCH_INFER_BURST:-4}" \
-      --repeat "${MGARDP_BENCH_INFER_REPEAT:-8}" \
       --json "${out}"
     continue
   fi
