@@ -4,6 +4,7 @@
 
 #include "progressive/reconstructor.h"
 #include "progressive/refactorer.h"
+#include "sim/warpx.h"
 #include "util/stats.h"
 
 namespace mgardp {
@@ -113,6 +114,54 @@ TEST_F(EMgardTest, RejectsBadLevelAndSketch) {
   EXPECT_FALSE(
       model_->PredictConstant(99, rec.sketches[0], 1e-3, 4).ok());
   EXPECT_FALSE(model_->PredictConstant(0, {1.0, 2.0}, 1e-3, 4).ok());
+}
+
+TEST_F(EMgardTest, LearnedTermsSumEqualsEstimate) {
+  auto fr = Refactorer().Refactor(series_->frames[4]);
+  ASSERT_TRUE(fr.ok());
+  const RefactoredField& field = fr.value();
+  LearnedConstantsEstimator learned(model_);
+  const auto terms = learned.Terms(field);
+  ASSERT_TRUE(terms.has_value());
+  EXPECT_EQ(terms->scale, model_->safety_margin());
+  for (int b : {0, 3, 10, 20, field.num_planes}) {
+    const std::vector<int> prefix(field.num_levels(), b);
+    EXPECT_EQ(terms->Sum(prefix), learned.Estimate(field, prefix));
+  }
+  EXPECT_EQ(terms->Sum({0, 4, 8, 12, 16}),
+            learned.Estimate(field, {0, 4, 8, 12, 16}));
+}
+
+TEST_F(EMgardTest, LearnedTermsAreZeroOnLevelsBeyondTheModel) {
+  // Five steps on a 33^3 field give one level more than the fields the
+  // model saw; that level contributes nothing to Estimate, and so to the
+  // table.
+  WarpXSimulator sim(Dims3{33, 33, 33});
+  RefactorOptions five_steps;
+  five_steps.target_steps = 5;
+  auto fr = Refactorer(five_steps).Refactor(sim.Field(WarpXField::kJx, 4));
+  ASSERT_TRUE(fr.ok());
+  const RefactoredField& field = fr.value();
+  ASSERT_EQ(field.num_levels(), model_->num_levels() + 1);
+  LearnedConstantsEstimator learned(model_);
+  const auto terms = learned.Terms(field);
+  ASSERT_TRUE(terms.has_value());
+  const auto& extra = terms->term.back();
+  EXPECT_EQ(extra.size(), field.level_errors.back().max_abs.size());
+  for (double t : extra) {
+    EXPECT_EQ(t, 0.0);
+  }
+  bool any_nonzero = false;
+  for (int l = 0; l < model_->num_levels(); ++l) {
+    for (double t : terms->term[l]) {
+      any_nonzero = any_nonzero || t != 0.0;
+    }
+  }
+  EXPECT_TRUE(any_nonzero);
+  for (int b : {0, 6, 16}) {
+    const std::vector<int> prefix(field.num_levels(), b);
+    EXPECT_EQ(terms->Sum(prefix), learned.Estimate(field, prefix));
+  }
 }
 
 TEST(EMgardValidationTest, RejectsEmptyAndUntrained) {

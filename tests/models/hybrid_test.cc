@@ -118,6 +118,31 @@ TEST_F(HybridTest, ReconstructionRespectsLooseBound) {
   EXPECT_LT(actual, 10.0 * bound);
 }
 
+TEST_F(HybridTest, OverProvisionedWarmStartIsTrimmedToSuffixMinimal) {
+  auto field = Refactorer().Refactor(series_->frames[test_step_]);
+  ASSERT_TRUE(field.ok());
+  const RefactoredField& f = field.value();
+  TheoryEstimator theory;
+  // Loose enough that D-MGARD's prediction meets the theory bound, so
+  // PlanHybrid takes the trim path rather than extending.
+  const double bound = 1e-1 * f.data_summary.range();
+  RetrievalPlan warm;
+  auto plan = PlanHybrid(f, bound, *dmgard_, theory, &warm);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_LE(warm.estimated_error, bound);
+  EXPECT_LE(plan.value().estimated_error, bound);
+  EXPECT_LE(plan.value().total_bytes, warm.total_bytes);
+  for (int l = 0; l < f.num_levels(); ++l) {
+    SCOPED_TRACE(l);
+    EXPECT_LE(plan.value().prefix[l], warm.prefix[l]);
+    if (plan.value().prefix[l] > 0) {
+      std::vector<int> shorter = plan.value().prefix;
+      --shorter[l];
+      EXPECT_GT(theory.Estimate(f, shorter), bound);
+    }
+  }
+}
+
 TEST_F(HybridTest, RejectsBadBound) {
   auto field = Refactorer().Refactor(series_->frames[test_step_]);
   ASSERT_TRUE(field.ok());

@@ -114,6 +114,70 @@ TEST_F(EstimatorTest, SlackScalesTheEstimate) {
               4.0 * tight.Estimate(field_, prefix), 1e-9);
 }
 
+TEST(TermTableTest, SumClampsEachLevelToItsPlaneRange) {
+  TermTable table;
+  table.term = {{8.0, 4.0, 2.0}, {1.0, 0.5}};
+  EXPECT_EQ(table.Sum({0, 0}), 9.0);
+  EXPECT_EQ(table.Sum({2, 1}), 2.5);
+  // Below 0 reads term 0, beyond the last plane reads the last term.
+  EXPECT_EQ(table.Sum({-3, 7}), 8.5);
+  EXPECT_EQ(table.Sum({5, -1}), 3.0);
+}
+
+TEST(TermTableTest, SumScalesTheLevelSumOnce) {
+  TermTable table;
+  table.term = {{0.1, 0.0}, {0.2, 0.0}, {0.3, 0.0}};
+  table.scale = 3.0;
+  // (0.1 + 0.2) + 0.3 in level order, then one multiply by the scale:
+  // scaling each term first would round differently.
+  EXPECT_EQ(table.Sum({0, 0, 0}), ((0.0 + 0.1) + 0.2 + 0.3) * 3.0);
+  EXPECT_NE(table.Sum({0, 0, 0}), 0.1 * 3.0 + 0.2 * 3.0 + 0.3 * 3.0);
+  EXPECT_EQ(table.Sum({1, 0, 1}), (0.0 + 0.0 + 0.2 + 0.0) * 3.0);
+  EXPECT_EQ(table.Sum({1, 1, 1}), 0.0);
+}
+
+TEST_F(EstimatorTest, TheoryTermsSumEqualsEstimate) {
+  TheoryEstimator est;
+  const auto terms = est.Terms(field_);
+  ASSERT_TRUE(terms.has_value());
+  EXPECT_EQ(terms->scale, 1.0);
+  const int L = field_.num_levels();
+  ASSERT_EQ(static_cast<int>(terms->term.size()), L);
+  for (int l = 0; l < L; ++l) {
+    EXPECT_EQ(terms->term[l].size(), field_.level_errors[l].max_abs.size());
+  }
+  const std::vector<std::vector<int>> prefixes = {
+      std::vector<int>(L, 0),  std::vector<int>(L, 4),
+      std::vector<int>(L, 12), std::vector<int>(L, 32),
+      {32, 24, 16, 8, 4},      {4, 8, 12, 16, 20},
+      {-1, 0, 40, 2, 99},
+  };
+  for (const auto& prefix : prefixes) {
+    EXPECT_EQ(terms->Sum(prefix), est.Estimate(field_, prefix));
+  }
+}
+
+TEST_F(EstimatorTest, SlackScalesTheTheoryTerms) {
+  // Slacks a power of two apart give terms exactly that factor apart.
+  const auto tight = TheoryEstimator(1.0).Terms(field_);
+  const auto loose = TheoryEstimator(4.0).Terms(field_);
+  ASSERT_TRUE(tight.has_value() && loose.has_value());
+  ASSERT_EQ(tight->term.size(), loose->term.size());
+  for (std::size_t l = 0; l < tight->term.size(); ++l) {
+    ASSERT_EQ(tight->term[l].size(), loose->term[l].size());
+    for (std::size_t b = 0; b < tight->term[l].size(); ++b) {
+      EXPECT_EQ(loose->term[l][b], 4.0 * tight->term[l][b]);
+    }
+  }
+}
+
+TEST_F(EstimatorTest, NonSeparableEstimatorsOfferNoTable) {
+  // The RMS bound takes a square root of the level sum and the oracle
+  // reconstructs: neither is a per-level sum, so both plan per candidate.
+  EXPECT_FALSE(SNormEstimator().Terms(field_).has_value());
+  EXPECT_FALSE(OracleEstimator(&original_).Terms(field_).has_value());
+}
+
 TEST_F(EstimatorTest, Names) {
   EXPECT_EQ(TheoryEstimator().name(), "theory");
   EXPECT_EQ(OracleEstimator(&original_).name(), "oracle");

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "obs/audit.h"
 #include "progressive/refactorer.h"
@@ -26,6 +29,32 @@ Array3Dd MakeField(Dims3 dims, std::uint64_t seed = 11) {
   }
   return a;
 }
+
+// Forwards to an inner estimator and counts the calls the planners make.
+// With `forward_terms` false it hides the inner table, as a decorator does.
+class CountingEstimator : public ErrorEstimator {
+ public:
+  CountingEstimator(const ErrorEstimator* inner, bool forward_terms)
+      : inner_(inner), forward_terms_(forward_terms) {}
+
+  double Estimate(const RefactoredField& field,
+                  const std::vector<int>& prefix) const override {
+    ++estimate_calls;
+    return inner_->Estimate(field, prefix);
+  }
+  std::optional<TermTable> Terms(const RefactoredField& field) const override {
+    ++terms_calls;
+    return forward_terms_ ? inner_->Terms(field) : std::nullopt;
+  }
+  std::string name() const override { return inner_->name(); }
+
+  mutable int estimate_calls = 0;
+  mutable int terms_calls = 0;
+
+ private:
+  const ErrorEstimator* inner_;
+  bool forward_terms_;
+};
 
 class ReconstructorTest : public ::testing::Test {
  protected:
@@ -223,6 +252,76 @@ TEST_F(ReconstructorTest, RetrieveWithoutGroundTruthIsEstimateOnly) {
   ASSERT_EQ(snap.models.size(), 1u);
   EXPECT_EQ(snap.models[0].model, "custom");
   EXPECT_EQ(snap.models[0].estimate_only, 1u);
+}
+
+TEST_F(ReconstructorTest, TrimPlanOfFullPrefixIsSuffixMinimal) {
+  const double bound = 1e-4 * field_.data_summary.range();
+  const std::vector<int> full(field_.num_levels(), field_.num_planes);
+  const RetrievalPlan plan = TrimPlan(field_, theory_, bound, full);
+  ASSERT_LE(plan.estimated_error, bound);
+  EXPECT_NE(plan.prefix, full);
+  for (int l = 0; l < field_.num_levels(); ++l) {
+    SCOPED_TRACE(l);
+    EXPECT_LE(plan.prefix[l], field_.num_planes);
+    if (plan.prefix[l] == 0) {
+      continue;
+    }
+    // Dropping any level's last plane would break the bound.
+    std::vector<int> shorter = plan.prefix;
+    --shorter[l];
+    EXPECT_GT(theory_.Estimate(field_, shorter), bound);
+  }
+}
+
+TEST_F(ReconstructorTest, TrimPlanReportsItsPrefixCostAndEstimate) {
+  const double bound = 1e-3 * field_.data_summary.range();
+  const RetrievalPlan plan =
+      TrimPlan(field_, theory_, bound,
+               std::vector<int>(field_.num_levels(), 20));
+  EXPECT_EQ(plan.total_bytes,
+            MakeSizeInterpreter(field_).TotalBytes(plan.prefix));
+  EXPECT_EQ(plan.estimated_error, theory_.Estimate(field_, plan.prefix));
+}
+
+TEST_F(ReconstructorTest, TrimPlanKeepsAPrefixThatMissesTheBound) {
+  // No plane can go when the estimate is already above the bound.
+  const std::vector<int> prefix = {3, 2, 2, 1, 1};
+  ASSERT_EQ(static_cast<int>(prefix.size()), field_.num_levels());
+  const double bound = 1e-6 * field_.data_summary.range();
+  ASSERT_GT(theory_.Estimate(field_, prefix), bound);
+  const RetrievalPlan plan = TrimPlan(field_, theory_, bound, prefix);
+  EXPECT_EQ(plan.prefix, prefix);
+  EXPECT_EQ(plan.estimated_error, theory_.Estimate(field_, prefix));
+}
+
+TEST_F(ReconstructorTest, EachPlanningCallBuildsOneTableAndNoEstimates) {
+  const CountingEstimator counting(&theory_, /*forward_terms=*/true);
+  Reconstructor rec(&counting);
+  const double bound = 1e-4 * field_.data_summary.range();
+  const std::vector<int> held(field_.num_levels(), 2);
+  ASSERT_TRUE(rec.Plan(field_, bound).ok());
+  ASSERT_TRUE(rec.PlanRefinement(field_, held, bound).ok());
+  ASSERT_TRUE(rec.PlanWithinBudget(field_, 4000).ok());
+  EXPECT_FALSE(rec.Progression(field_).empty());
+  TrimPlan(field_, counting, bound,
+           std::vector<int>(field_.num_levels(), field_.num_planes));
+  EXPECT_EQ(counting.terms_calls, 5);
+  EXPECT_EQ(counting.estimate_calls, 0);
+}
+
+TEST_F(ReconstructorTest, WithoutATableEveryCandidateIsEstimated) {
+  const CountingEstimator hidden(&theory_, /*forward_terms=*/false);
+  const double bound = 1e-4 * field_.data_summary.range();
+  auto with_table = Reconstructor(&theory_).Plan(field_, bound);
+  auto without = Reconstructor(&hidden).Plan(field_, bound);
+  ASSERT_TRUE(with_table.ok() && without.ok());
+  EXPECT_EQ(without.value().prefix, with_table.value().prefix);
+  EXPECT_EQ(without.value().total_bytes, with_table.value().total_bytes);
+  EXPECT_EQ(without.value().estimated_error,
+            with_table.value().estimated_error);
+  EXPECT_EQ(hidden.terms_calls, 1);
+  // At least the start plus one candidate per level in the first round.
+  EXPECT_GT(hidden.estimate_calls, field_.num_levels());
 }
 
 }  // namespace
