@@ -21,6 +21,12 @@ constexpr double kDiagBnd = 2.0 * kH / 6.0;
 // independent chains keeps the divider busy instead of waiting on latency.
 constexpr std::size_t kLanes = 8;
 
+// Lattice sites one pool chunk transforms at least (~2 ns each). Waking the
+// pool costs tens of microseconds on a loaded box, so a pass smaller than
+// this (every pass of a 33^3 grid, the coarse steps of a larger one) runs
+// inline as one chunk.
+constexpr std::size_t kMinSitesPerChunk = std::size_t{1} << 16;
+
 // Thomas-algorithm factors for the coarse mass matrix of size mc. They
 // depend only on mc, so one computation serves every line of an axis pass;
 // the divisions in the data sweep still divide by the stored denominators,
@@ -197,7 +203,8 @@ void TransformAxis(Array3Dd* data, std::size_t stride, int axis, bool forward,
   // Lines along `axis` touch disjoint lattice sites for distinct (a, c), so
   // the (outer line x lane group) items solve independently across the
   // pool; each chunk keeps its own mc x kLanes correction scratch.
-  const std::size_t grain = std::max<std::size_t>(1, 2048 / (m * kLanes));
+  const std::size_t grain =
+      std::max<std::size_t>(1, kMinSitesPerChunk / (m * kLanes));
   ParallelFor(0, n1 * groups, grain, [&](std::size_t lo, std::size_t hi) {
     std::vector<double> b(mc * kLanes);
     for (std::size_t t = lo; t < hi; ++t) {

@@ -26,7 +26,7 @@ void PutVarint(std::string* out, std::uint64_t v) {
   out->push_back(static_cast<char>(v));
 }
 
-Status GetVarint(const std::string& in, std::size_t* pos, std::uint64_t* v) {
+Status GetVarint(std::string_view in, std::size_t* pos, std::uint64_t* v) {
   *v = 0;
   int shift = 0;
   while (true) {
@@ -81,7 +81,7 @@ std::string RleEncode(const std::string& in) {
   return out;
 }
 
-Result<std::string> RleDecode(const std::string& in) {
+Result<std::string> RleDecode(std::string_view in) {
   std::string out;
   out.reserve(in.size() * 2);
   std::size_t i = 0;
@@ -104,6 +104,9 @@ Result<std::string> RleDecode(const std::string& in) {
       const char v = in[i++];
       std::uint64_t run = 0;
       MGARDP_RETURN_NOT_OK(GetVarint(in, &i, &run));
+      if (run > kMaxRawSize - out.size()) {
+        return Status::Invalid("RLE: run exceeds the decoded size cap");
+      }
       out.append(static_cast<std::size_t>(run), v);
     } else {
       return Status::Invalid("RLE: bad escape tag");
@@ -188,17 +191,17 @@ std::string LzEncode(const std::string& in) {
   return out;
 }
 
-Result<std::string> LzDecode(const std::string& in) {
+Result<std::string> LzDecode(std::string_view in) {
   std::string out;
   out.reserve(in.size() * 2);
   std::size_t pos = 0;
   while (pos < in.size()) {
     std::uint64_t literal_count = 0;
     MGARDP_RETURN_NOT_OK(GetVarint(in, &pos, &literal_count));
-    if (pos + literal_count > in.size()) {
+    if (literal_count > in.size() - pos) {
       return Status::OutOfRange("lz: literal run past end of input");
     }
-    out.append(in, pos, literal_count);
+    out.append(in.substr(pos, literal_count));
     pos += literal_count;
     std::uint64_t match_len = 0;
     MGARDP_RETURN_NOT_OK(GetVarint(in, &pos, &match_len));
@@ -212,6 +215,9 @@ Result<std::string> LzDecode(const std::string& in) {
     MGARDP_RETURN_NOT_OK(GetVarint(in, &pos, &offset));
     if (offset == 0 || offset > out.size()) {
       return Status::OutOfRange("lz: offset outside the window");
+    }
+    if (match_len > kMaxRawSize - out.size()) {
+      return Status::Invalid("lz: match exceeds the decoded size cap");
     }
     // Byte-by-byte copy: overlapping matches (offset < length) replicate.
     std::size_t src = out.size() - static_cast<std::size_t>(offset);
@@ -378,15 +384,19 @@ std::string HuffmanEncode(const std::string& in) {
   return out;
 }
 
-Result<std::string> HuffmanDecode(const std::string& in) {
+Result<std::string> HuffmanDecode(std::string_view in) {
   if (in.size() < 8 + 256) {
     return Status::OutOfRange("huffman: truncated header");
   }
-  BinaryReader r(in);
+  BinaryReader r(in.data(), in.size());
   std::uint64_t n = 0;
   MGARDP_RETURN_NOT_OK(r.Get(&n));
   std::array<std::uint8_t, 256> lengths{};
   MGARDP_RETURN_NOT_OK(r.GetBytes(lengths.data(), 256));
+  // Every code is at least one bit long.
+  if (n > 8 * (in.size() - (8 + 256))) {
+    return Status::OutOfRange("huffman: symbol count exceeds the payload");
+  }
 
   std::string out;
   out.reserve(n);
@@ -586,7 +596,10 @@ std::string CompressWhole(const std::string& in) {
   return out;
 }
 
-Result<std::string> DecompressWhole(const std::string& in) {
+// Undoes a single-shot container's stages. The result views the decoded
+// bytes: the container's own body when it is stored raw, else `*stage`,
+// which holds the last stage's output.
+Result<std::string_view> DecodeWhole(std::string_view in, std::string* stage) {
   if (in.empty()) {
     return Status::OutOfRange("lossless: empty container");
   }
@@ -597,17 +610,20 @@ Result<std::string> DecompressWhole(const std::string& in) {
   if ((flags & kFlagRle) && (flags & kFlagLz)) {
     return Status::Invalid("lossless: RLE and LZ flags are exclusive");
   }
-  std::string stage = in.substr(1);
+  std::string_view body = in.substr(1);
   if (flags & kFlagHuffman) {
-    MGARDP_ASSIGN_OR_RETURN(stage, internal::HuffmanDecode(stage));
+    MGARDP_ASSIGN_OR_RETURN(*stage, internal::HuffmanDecode(body));
+    body = *stage;
   }
   if (flags & kFlagLz) {
-    MGARDP_ASSIGN_OR_RETURN(stage, internal::LzDecode(stage));
+    MGARDP_ASSIGN_OR_RETURN(*stage, internal::LzDecode(body));
+    body = *stage;
   }
   if (flags & kFlagRle) {
-    MGARDP_ASSIGN_OR_RETURN(stage, internal::RleDecode(stage));
+    MGARDP_ASSIGN_OR_RETURN(*stage, internal::RleDecode(body));
+    body = *stage;
   }
-  return stage;
+  return body;
 }
 
 std::string CompressChunked(const std::string& in) {
@@ -638,7 +654,12 @@ Result<std::string> DecompressPipeline(const std::string& in) {
   }
   const unsigned char flags = static_cast<unsigned char>(in[0]);
   if ((flags & kFlagChunked) == 0) {
-    return DecompressWhole(in);
+    std::string stage;
+    MGARDP_ASSIGN_OR_RETURN(std::string_view out, DecodeWhole(in, &stage));
+    if (out.data() == stage.data()) {
+      return stage;
+    }
+    return std::string(out);
   }
   if (flags != kFlagChunked) {
     return Status::Invalid("lossless: chunked flag admits no other flags");
@@ -648,46 +669,52 @@ Result<std::string> DecompressPipeline(const std::string& in) {
   MGARDP_RETURN_NOT_OK(internal::GetVarint(in, &pos, &raw_size));
   MGARDP_RETURN_NOT_OK(internal::GetVarint(in, &pos, &chunk_size));
   MGARDP_RETURN_NOT_OK(internal::GetVarint(in, &pos, &num_chunks));
+  if (raw_size > kMaxRawSize || chunk_size > kMaxRawSize) {
+    return Status::Invalid("lossless: chunk header exceeds the size cap");
+  }
   if (chunk_size == 0 || num_chunks == 0 ||
       (raw_size + chunk_size - 1) / chunk_size != num_chunks) {
     return Status::Invalid("lossless: inconsistent chunk header");
   }
-  std::vector<std::pair<std::size_t, std::size_t>> spans(num_chunks);
+  // Every frame carries at least its one-byte size varint.
+  if (num_chunks > in.size() - pos) {
+    return Status::OutOfRange("lossless: fewer frames than chunks");
+  }
+  std::vector<std::string_view> frames(num_chunks);
   for (std::uint64_t c = 0; c < num_chunks; ++c) {
     std::uint64_t frame_size = 0;
     MGARDP_RETURN_NOT_OK(internal::GetVarint(in, &pos, &frame_size));
     if (frame_size > in.size() - pos) {
       return Status::OutOfRange("lossless: chunk frame past end of input");
     }
-    spans[c] = {pos, static_cast<std::size_t>(frame_size)};
+    frames[c] = std::string_view(in).substr(pos, frame_size);
     pos += frame_size;
   }
   if (pos != in.size()) {
     return Status::Invalid("lossless: trailing bytes after chunk frames");
   }
-  std::vector<std::string> pieces(num_chunks);
+  // Each frame decodes straight into its own slice of the output.
+  std::string out(raw_size, '\0');
+  char* const dst = out.data();
   std::vector<Status> results(num_chunks);
   ParallelFor(0, num_chunks, 1, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t c = lo; c < hi; ++c) {
-      Result<std::string> piece =
-          DecompressWhole(in.substr(spans[c].first, spans[c].second));
-      if (piece.ok()) {
-        pieces[c] = std::move(piece).value();
-      } else {
+      std::string stage;
+      Result<std::string_view> piece = DecodeWhole(frames[c], &stage);
+      const std::size_t expect =
+          std::min<std::size_t>(chunk_size, raw_size - c * chunk_size);
+      if (!piece.ok()) {
         results[c] = piece.status();
+      } else if (piece.value().size() != expect) {
+        results[c] =
+            Status::Invalid("lossless: chunk decodes to the wrong size");
+      } else {
+        std::memcpy(dst + c * chunk_size, piece.value().data(), expect);
       }
     }
   });
-  std::string out;
-  out.reserve(raw_size);
-  for (std::uint64_t c = 0; c < num_chunks; ++c) {
-    MGARDP_RETURN_NOT_OK(results[c]);
-    const std::size_t expect =
-        std::min<std::size_t>(chunk_size, raw_size - c * chunk_size);
-    if (pieces[c].size() != expect) {
-      return Status::Invalid("lossless: chunk decodes to the wrong size");
-    }
-    out.append(pieces[c]);
+  for (const Status& st : results) {
+    MGARDP_RETURN_NOT_OK(st);
   }
   return out;
 }

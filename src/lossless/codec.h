@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/status.h"
@@ -36,6 +37,11 @@ namespace lossless {
 // First container byte at or above this value names a registered codec;
 // anything below is a legacy pipeline flags byte.
 constexpr std::uint8_t kFirstRegisteredCodecId = 0x10;
+
+// The largest decoded size any decoder accepts: size fields and run lengths
+// read from a container are checked against it before they drive an
+// allocation, so a corrupt or hostile header fails with a Status.
+constexpr std::uint64_t kMaxRawSize = std::uint64_t{1} << 30;
 
 // A self-describing lossless codec. Compress returns a container whose
 // first byte identifies the codec (its Id, or a legacy flags byte for the
@@ -99,13 +105,13 @@ Result<std::string> Decompress(const std::string& in);
 // Exposed for unit tests: the pipeline codec's individual stages.
 namespace internal {
 void PutVarint(std::string* out, std::uint64_t v);
-Status GetVarint(const std::string& in, std::size_t* pos, std::uint64_t* v);
+Status GetVarint(std::string_view in, std::size_t* pos, std::uint64_t* v);
 std::string RleEncode(const std::string& in);
-Result<std::string> RleDecode(const std::string& in);
+Result<std::string> RleDecode(std::string_view in);
 std::string LzEncode(const std::string& in);
-Result<std::string> LzDecode(const std::string& in);
+Result<std::string> LzDecode(std::string_view in);
 std::string HuffmanEncode(const std::string& in);
-Result<std::string> HuffmanDecode(const std::string& in);
+Result<std::string> HuffmanDecode(std::string_view in);
 }  // namespace internal
 
 }  // namespace lossless

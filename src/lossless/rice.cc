@@ -263,7 +263,7 @@ class RiceCodecImpl : public Codec {
     pos = 2;
     std::uint64_t raw_size = 0;
     MGARDP_RETURN_NOT_OK(internal::GetVarint(in, &pos, &raw_size));
-    if (raw_size > kRiceMaxRawSize) {
+    if (raw_size > kMaxRawSize) {
       return Status::Invalid("rice: raw size exceeds sanity cap");
     }
     if (mode == kModeRaw) {

@@ -34,10 +34,6 @@ namespace lossless {
 
 constexpr std::uint8_t kRiceCodecId = 0x10;
 
-// Decompression refuses raw_size claims above this, so corrupt headers
-// fail instead of driving a giant allocation.
-constexpr std::uint64_t kRiceMaxRawSize = std::uint64_t{1} << 30;
-
 }  // namespace lossless
 }  // namespace mgardp
 

@@ -108,11 +108,6 @@ ScopedRequestContext::~ScopedRequestContext() {
 
 RequestContext* ScopedRequestContext::Current() { return t_current_request; }
 
-std::shared_ptr<RequestContext> ScopedRequestContext::CurrentShared() {
-  RequestContext* ctx = t_current_request;
-  return ctx == nullptr ? nullptr : ctx->shared_from_this();
-}
-
 std::uint64_t ScopedRequestContext::CurrentTraceId() {
   RequestContext* ctx = t_current_request;
   return ctx == nullptr ? 0 : ctx->trace_id();

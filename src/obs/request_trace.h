@@ -43,9 +43,8 @@ namespace mgardp {
 namespace obs {
 
 // Per-request identity plus the flight-recorder buffer. Created via
-// Create() (always heap-allocated behind a shared_ptr, so code running
-// under a scope can retain the context past it via shared_from_this).
-class RequestContext : public std::enable_shared_from_this<RequestContext> {
+// Create(), always heap-allocated behind a shared_ptr.
+class RequestContext {
  public:
   static std::shared_ptr<RequestContext> Create(std::uint64_t trace_id,
                                                 std::string tenant,
@@ -85,8 +84,7 @@ class RequestContext : public std::enable_shared_from_this<RequestContext> {
 // Installs `ctx` as the calling thread's current request for the scope's
 // lifetime (restoring the previous one on exit; scopes nest). A null ctx
 // is a no-op scope. The raw Current() pointer is what the tracer and the
-// pool propagator read; CurrentShared() is for code that must retain the
-// context past the scope.
+// pool propagator read.
 class ScopedRequestContext {
  public:
   explicit ScopedRequestContext(std::shared_ptr<RequestContext> ctx);
@@ -96,7 +94,6 @@ class ScopedRequestContext {
   ScopedRequestContext& operator=(const ScopedRequestContext&) = delete;
 
   static RequestContext* Current();
-  static std::shared_ptr<RequestContext> CurrentShared();
   // 0 when no context is installed.
   static std::uint64_t CurrentTraceId();
 

@@ -1,6 +1,7 @@
 #include "progressive/reconstructor.h"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 #include <optional>
 
@@ -34,8 +35,9 @@ Result<Array3Dd> ReconstructFromSegments(const RefactoredField& field,
   }
   BitplaneEncoder encoder(field.num_planes);
   // Fetch the compressed planes of every level serially (the segment store
-  // makes no concurrency promises), then fan the lossless decode out over
-  // all (level, plane) pairs before the per-level bit-plane decode.
+  // makes no concurrency promises), then decode them losslessly, one pool
+  // task per (level, plane) pair striped across the pool as in the
+  // refactorer, before the per-level bit-plane decode.
   std::vector<int> plane_counts(L);
   std::vector<std::size_t> first_plane(L + 1, 0);
   for (int l = 0; l < L; ++l) {
@@ -56,14 +58,12 @@ Result<Array3Dd> ReconstructFromSegments(const RefactoredField& field,
   {
     MGARDP_TRACE_SPAN("reconstruct/lossless", "progressive");
     std::vector<Status> decode_status(first_plane[L]);
-    ParallelFor(0, first_plane[L], 1, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t t = lo; t < hi; ++t) {
-        Result<std::string> payload = lossless::Decompress(compressed[t]);
-        if (payload.ok()) {
-          payloads[t] = std::move(payload).value();
-        } else {
-          decode_status[t] = payload.status();
-        }
+    GlobalThreadPool().Run(first_plane[L], [&](std::size_t t) {
+      Result<std::string> payload = lossless::Decompress(compressed[t]);
+      if (payload.ok()) {
+        payloads[t] = std::move(payload).value();
+      } else {
+        decode_status[t] = payload.status();
       }
     });
     for (const Status& st : decode_status) {
@@ -78,8 +78,9 @@ Result<Array3Dd> ReconstructFromSegments(const RefactoredField& field,
       set.num_planes = field.num_planes;
       set.exponent = field.level_exponents[l];
       set.count = field.hierarchy.LevelSize(l);
-      set.planes.assign(payloads.begin() + first_plane[l],
-                        payloads.begin() + first_plane[l + 1]);
+      set.planes.assign(
+          std::make_move_iterator(payloads.begin() + first_plane[l]),
+          std::make_move_iterator(payloads.begin() + first_plane[l + 1]));
       MGARDP_ASSIGN_OR_RETURN(levels[l], encoder.Decode(set, plane_counts[l]));
     }
   }

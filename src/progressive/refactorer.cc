@@ -1,5 +1,6 @@
 #include "progressive/refactorer.h"
 
+#include <algorithm>
 #include <mutex>
 
 #include "decompose/decomposer.h"
@@ -62,9 +63,11 @@ Result<RefactoredField> Refactorer::Refactor(Array3Dd data) const {
   field.level_sketches.resize(L);
   // Levels are encoded in order (the encoder parallelizes internally over
   // coefficients and planes, which balances better than the skewed level
-  // sizes), collecting every plane payload; the lossless stage then fans
-  // out across all (level, plane) pairs at once -- ~L x num_planes
-  // well-mixed tasks -- before the serial store pass.
+  // sizes), collecting every plane payload; the lossless stage then runs
+  // one pool task per (level, plane) pair before the serial store pass.
+  // The pool stripes tasks across its participants, so each takes about
+  // 1/P of every level's planes: contiguous ranges of the coarse-to-fine
+  // list would hand the finest levels, nearly all the bytes, to one.
   std::vector<BitplaneSet> sets(L);
   {
     MGARDP_TRACE_SPAN("refactor/encode", "progressive");
@@ -85,20 +88,17 @@ Result<RefactoredField> Refactorer::Refactor(Array3Dd data) const {
     MGARDP_TRACE_SPAN("refactor/lossless", "progressive");
     Status compress_status;
     std::mutex status_mu;
-    ParallelFor(0, first_plane[L], 1, [&](std::size_t lo, std::size_t hi) {
-      int l = 0;
-      for (std::size_t t = lo; t < hi; ++t) {
-        while (t >= first_plane[l + 1]) {
-          ++l;
-        }
-        Result<std::string> blob = lossless::CompressWith(
-            sets[l].planes[t - first_plane[l]], options_.codec);
-        if (blob.ok()) {
-          compressed[t] = std::move(blob).value();
-        } else {
-          std::lock_guard<std::mutex> lock(status_mu);
-          compress_status = blob.status();
-        }
+    GlobalThreadPool().Run(first_plane[L], [&](std::size_t t) {
+      const std::size_t l =
+          std::upper_bound(first_plane.begin(), first_plane.end(), t) -
+          first_plane.begin() - 1;
+      Result<std::string> blob = lossless::CompressWith(
+          sets[l].planes[t - first_plane[l]], options_.codec);
+      if (blob.ok()) {
+        compressed[t] = std::move(blob).value();
+      } else {
+        std::lock_guard<std::mutex> lock(status_mu);
+        compress_status = blob.status();
       }
     });
     MGARDP_RETURN_NOT_OK(compress_status);

@@ -2,7 +2,8 @@
 // results for MGARDP_THREADS=1 vs N. This exercises the full refactor +
 // reconstruct pipeline (decomposition, interleaving, bit-plane encoding
 // with error matrices, chunked lossless coding, planning, recomposition)
-// under both pool sizes and compares every output byte for byte.
+// under several pool sizes and compares every output byte for byte. The
+// odd size gives the striped per-plane lossless tasks uneven stripes.
 
 #include <gtest/gtest.h>
 
@@ -22,11 +23,14 @@ struct PipelineOutputs {
   std::vector<std::string> segments;    // compressed planes, (l, p) order
   std::vector<int> plan_prefix;
   std::vector<double> reconstructed;
+  bool fetched_chunked = false;         // a planned segment is chunked
 };
 
-PipelineOutputs RunPipeline(int threads) {
+constexpr int kThreadCounts[] = {2, 3, 8};
+
+PipelineOutputs RunPipeline(int threads, Dims3 dims) {
   SetGlobalThreadCount(threads);
-  WarpXSimulator sim(Dims3{33, 33, 33});
+  WarpXSimulator sim(dims);
   const Array3Dd data = sim.Field(WarpXField::kEx, 7);
   RefactoredField field = Refactorer().Refactor(data).ValueOrDie();
 
@@ -44,15 +48,16 @@ PipelineOutputs RunPipeline(int threads) {
   Array3Dd restored = rec.Retrieve(field, bound, &plan).ValueOrDie();
   out.plan_prefix = plan.prefix;
   out.reconstructed = restored.vector();
+  for (int l = 0; l < field.num_levels(); ++l) {
+    for (int p = 0; p < plan.prefix[l]; ++p) {
+      out.fetched_chunked |= field.segments.Get(l, p).ValueOrDie()[0] == '\x08';
+    }
+  }
   return out;
 }
 
-TEST(DeterminismTest, PipelineIsBitIdenticalAcrossThreadCounts) {
-  const int ambient = GlobalThreadCount();
-  const PipelineOutputs serial = RunPipeline(1);
-  const PipelineOutputs threaded = RunPipeline(8);
-  SetGlobalThreadCount(ambient);
-
+void ExpectIdentical(const PipelineOutputs& serial,
+                     const PipelineOutputs& threaded) {
   // Metadata covers level_exponents, the LevelErrorStats doubles, and the
   // compressed plane sizes: any reduction-order drift shows up here.
   EXPECT_EQ(serial.metadata, threaded.metadata);
@@ -70,6 +75,31 @@ TEST(DeterminismTest, PipelineIsBitIdenticalAcrossThreadCounts) {
             0);
 }
 
+TEST(DeterminismTest, PipelineIsBitIdenticalAcrossThreadCounts) {
+  const int ambient = GlobalThreadCount();
+  const PipelineOutputs serial = RunPipeline(1, Dims3{33, 33, 33});
+  for (int threads : kThreadCounts) {
+    SCOPED_TRACE(threads);
+    ExpectIdentical(serial, RunPipeline(threads, Dims3{33, 33, 33}));
+  }
+  SetGlobalThreadCount(ambient);
+}
+
+TEST(DeterminismTest, ChunkedPlanesAreBitIdenticalAcrossThreadCounts) {
+  // The finest level of 129 x 129 x 65 holds 942,240 coefficients, so its
+  // planes (~115 KiB) exceed one 64 KiB chunk: the pipeline codec encodes
+  // and decodes chunked containers inside the per-plane fan-out.
+  const int ambient = GlobalThreadCount();
+  const Dims3 dims{129, 129, 65};
+  const PipelineOutputs serial = RunPipeline(1, dims);
+  EXPECT_TRUE(serial.fetched_chunked);
+  for (int threads : kThreadCounts) {
+    SCOPED_TRACE(threads);
+    ExpectIdentical(serial, RunPipeline(threads, dims));
+  }
+  SetGlobalThreadCount(ambient);
+}
+
 TEST(DeterminismTest, LevelErrorStatsMatchAcrossThreadCounts) {
   const int ambient = GlobalThreadCount();
   WarpXSimulator sim(Dims3{17, 17, 17});
@@ -77,21 +107,23 @@ TEST(DeterminismTest, LevelErrorStatsMatchAcrossThreadCounts) {
 
   SetGlobalThreadCount(1);
   RefactoredField a = Refactorer().Refactor(data).ValueOrDie();
-  SetGlobalThreadCount(8);
-  RefactoredField b = Refactorer().Refactor(data).ValueOrDie();
-  SetGlobalThreadCount(ambient);
-
-  ASSERT_EQ(a.num_levels(), b.num_levels());
-  for (int l = 0; l < a.num_levels(); ++l) {
-    ASSERT_EQ(a.level_errors[l].max_abs.size(),
-              b.level_errors[l].max_abs.size());
-    for (std::size_t i = 0; i < a.level_errors[l].max_abs.size(); ++i) {
-      // Exact equality on purpose -- these doubles feed the retrieval
-      // planner, so any drift would change plans between thread counts.
-      EXPECT_EQ(a.level_errors[l].max_abs[i], b.level_errors[l].max_abs[i]);
-      EXPECT_EQ(a.level_errors[l].mse[i], b.level_errors[l].mse[i]);
+  for (int threads : kThreadCounts) {
+    SCOPED_TRACE(threads);
+    SetGlobalThreadCount(threads);
+    RefactoredField b = Refactorer().Refactor(data).ValueOrDie();
+    ASSERT_EQ(a.num_levels(), b.num_levels());
+    for (int l = 0; l < a.num_levels(); ++l) {
+      ASSERT_EQ(a.level_errors[l].max_abs.size(),
+                b.level_errors[l].max_abs.size());
+      for (std::size_t i = 0; i < a.level_errors[l].max_abs.size(); ++i) {
+        // Exact equality on purpose -- these doubles feed the retrieval
+        // planner, so any drift would change plans between thread counts.
+        EXPECT_EQ(a.level_errors[l].max_abs[i], b.level_errors[l].max_abs[i]);
+        EXPECT_EQ(a.level_errors[l].mse[i], b.level_errors[l].mse[i]);
+      }
     }
   }
+  SetGlobalThreadCount(ambient);
 }
 
 }  // namespace

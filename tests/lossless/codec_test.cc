@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "util/rng.h"
 
 namespace mgardp {
@@ -211,6 +213,115 @@ TEST_P(CodecSizeSweep, RoundTripAtSize) {
 INSTANTIATE_TEST_SUITE_P(Sizes, CodecSizeSweep,
                          ::testing::Values(0, 1, 2, 7, 8, 9, 255, 256, 257,
                                            4095, 65536));
+
+// Chunk-boundary sizes whose chunks alternate between skewed bytes (a
+// Huffman frame) and uniform noise (a raw frame). Multi-chunk inputs decode
+// every frame into its own slice of one shared output across the pool.
+class ChunkedCodecSweep : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(ChunkedCodecSweep, MixedFramesRoundTrip) {
+  constexpr std::size_t kChunk = 64 * 1024;
+  Rng rng(GetParam());
+  std::string input(GetParam(), '\0');
+  for (std::size_t i = 0; i < input.size(); ++i) {
+    const bool skewed = (i / kChunk) % 2 == 0;
+    input[i] = static_cast<char>(rng.NextBounded(skewed ? 4 : 256));
+  }
+  const std::string compressed = Compress(input);
+  auto decoded = Decompress(compressed);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded.value(), input);
+  if (input.size() <= kChunk) {
+    return;
+  }
+  // Walk the chunked container: the frames must mix both kinds.
+  ASSERT_EQ(static_cast<unsigned char>(compressed[0]), 0x08);
+  std::size_t pos = 1;
+  std::uint64_t raw_size = 0, chunk_size = 0, num_chunks = 0;
+  ASSERT_TRUE(internal::GetVarint(compressed, &pos, &raw_size).ok());
+  ASSERT_TRUE(internal::GetVarint(compressed, &pos, &chunk_size).ok());
+  ASSERT_TRUE(internal::GetVarint(compressed, &pos, &num_chunks).ok());
+  bool saw_raw = false;
+  bool saw_huffman = false;
+  for (std::uint64_t c = 0; c < num_chunks; ++c) {
+    std::uint64_t frame_size = 0;
+    ASSERT_TRUE(internal::GetVarint(compressed, &pos, &frame_size).ok());
+    const unsigned char flags = static_cast<unsigned char>(compressed[pos]);
+    saw_raw |= flags == 0x00;
+    saw_huffman |= (flags & 0x02) != 0;
+    pos += frame_size;
+  }
+  EXPECT_TRUE(saw_raw);
+  EXPECT_TRUE(saw_huffman);
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, ChunkedCodecSweep,
+                         ::testing::Values(65535, 65537, 3 * 65536 + 1));
+
+// Size fields read from a container must not drive an allocation past
+// kMaxRawSize: each of these once aborted the process with bad_alloc.
+constexpr std::uint64_t kHugeSize = std::uint64_t{1} << 50;
+
+TEST(HostileHeaderTest, HuffmanSymbolCountBeyondPayload) {
+  std::string blob = internal::HuffmanEncode("abracadabra");
+  std::memcpy(blob.data(), &kHugeSize, sizeof(kHugeSize));
+  EXPECT_FALSE(internal::HuffmanDecode(blob).ok());
+  EXPECT_FALSE(Decompress(std::string(1, '\x02') + blob).ok());
+}
+
+TEST(HostileHeaderTest, RleRunBeyondCap) {
+  std::string blob = "\xFE\x01x";
+  internal::PutVarint(&blob, kHugeSize);
+  EXPECT_FALSE(internal::RleDecode(blob).ok());
+  EXPECT_FALSE(Decompress(std::string(1, '\x01') + blob).ok());
+}
+
+TEST(HostileHeaderTest, LzMatchBeyondCap) {
+  std::string blob;
+  internal::PutVarint(&blob, 1);
+  blob.push_back('a');
+  internal::PutVarint(&blob, kHugeSize);  // match length
+  internal::PutVarint(&blob, 1);          // offset
+  internal::PutVarint(&blob, 0);
+  EXPECT_FALSE(internal::LzDecode(blob).ok());
+  EXPECT_FALSE(Decompress(std::string(1, '\x04') + blob).ok());
+}
+
+TEST(HostileHeaderTest, ChunkedSizesBeyondCap) {
+  std::string blob(1, '\x08');
+  internal::PutVarint(&blob, std::uint64_t{1} << 45);  // raw_size
+  internal::PutVarint(&blob, std::uint64_t{1} << 45);  // chunk_size
+  internal::PutVarint(&blob, 1);                       // num_chunks
+  internal::PutVarint(&blob, 0);                       // one empty frame
+  EXPECT_FALSE(Decompress(blob).ok());
+}
+
+TEST(HostileHeaderTest, ChunkCountBeyondFrames) {
+  // A consistent header promising 2^24 one-byte chunks with no frames
+  // behind it is refused before the frame table is sized.
+  std::string blob(1, '\x08');
+  internal::PutVarint(&blob, std::uint64_t{1} << 24);
+  internal::PutVarint(&blob, 1);
+  internal::PutVarint(&blob, std::uint64_t{1} << 24);
+  auto decoded = Decompress(blob);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_NE(decoded.status().message().find("fewer frames"),
+            std::string::npos);
+}
+
+TEST(HostileHeaderTest, ChunkDecodingToWrongSize) {
+  // Two chunks of 65536 + 1 bytes whose second frame decodes to 2 bytes.
+  std::string blob(1, '\x08');
+  internal::PutVarint(&blob, 65537);
+  internal::PutVarint(&blob, 65536);
+  internal::PutVarint(&blob, 2);
+  const std::string first = Compress(std::string(65536, 'z'));
+  internal::PutVarint(&blob, first.size());
+  blob += first;
+  internal::PutVarint(&blob, 3);
+  blob += std::string("\0ab", 3);
+  EXPECT_FALSE(Decompress(blob).ok());
+}
 
 }  // namespace
 }  // namespace lossless

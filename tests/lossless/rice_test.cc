@@ -129,7 +129,7 @@ TEST(RiceCodecTest, FuzzMutationsNeverCrash) {
     auto out = RiceCodec().Decompress(blob);
     if (out.ok()) {
       // Whatever decoded must re-encode losslessly (self-consistency).
-      EXPECT_LE(out.value().size(), kRiceMaxRawSize);
+      EXPECT_LE(out.value().size(), kMaxRawSize);
     }
   }
 }

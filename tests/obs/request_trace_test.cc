@@ -73,19 +73,6 @@ TEST(RequestTraceTest, ScopedContextInstallsNestsAndRestores) {
   EXPECT_EQ(ScopedRequestContext::Current(), nullptr);
 }
 
-TEST(RequestTraceTest, CurrentSharedRetainsPastScope) {
-  std::shared_ptr<RequestContext> grabbed;
-  {
-    ScopedRequestContext scope(MakeCtx(7));
-    grabbed = ScopedRequestContext::CurrentShared();
-    ASSERT_NE(grabbed, nullptr);
-  }
-  // The scope is gone, the shared handle still works.
-  EXPECT_EQ(grabbed->trace_id(), 7u);
-  grabbed->AppendSpan(MakeEvent());
-  EXPECT_EQ(grabbed->spans().size(), 1u);
-}
-
 TEST(RequestTraceTest, TracerRequestModeForwardsSpansToCurrentContext) {
   Tracer tracer;
   tracer.set_request_tracing(true);
