@@ -66,19 +66,27 @@ void BM_BitplaneTranspose(benchmark::State& state) {
 }
 BENCHMARK(BM_BitplaneTranspose)->Arg(4096)->Arg(262144);
 
+// Args: (coefficient count, prefix planes). 1,872,064 is the finest level
+// of a 129^3 grid.
 void BM_BitplaneDecode(benchmark::State& state) {
-  const auto coefs = RandomCoefs(32768);
+  const auto coefs = RandomCoefs(static_cast<std::size_t>(state.range(0)));
   BitplaneEncoder enc(32);
   auto set = enc.Encode(coefs, nullptr);
   set.status().Abort("encode");
-  const int planes = static_cast<int>(state.range(0));
+  const int planes = static_cast<int>(state.range(1));
   for (auto _ : state) {
     auto decoded = enc.Decode(set.value(), planes);
     benchmark::DoNotOptimize(decoded);
   }
-  state.SetItemsProcessed(state.iterations() * 32768);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(coefs.size()));
 }
-BENCHMARK(BM_BitplaneDecode)->Arg(4)->Arg(16)->Arg(32);
+BENCHMARK(BM_BitplaneDecode)
+    ->Args({32768, 4})
+    ->Args({32768, 16})
+    ->Args({32768, 32})
+    ->Args({1872064, 8})
+    ->Args({1872064, 32});
 
 // Thread-count sweep on the stats-collecting encode (the heaviest variant:
 // quantization + plane slicing + the O(planes x n) error matrix).

@@ -3,6 +3,7 @@
 #include <benchmark/benchmark.h>
 
 #include "decompose/decomposer.h"
+#include "decompose/interleaver.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 
@@ -68,6 +69,41 @@ void BM_DecomposeNoCorrection(benchmark::State& state) {
                           static_cast<int64_t>(dims.size()));
 }
 BENCHMARK(BM_DecomposeNoCorrection);
+
+// Level gather / scatter of an n^3 grid with the default hierarchy: the
+// refactor side's Extract and the retrieve side's Deposit.
+Interleaver MakeInterleaver(std::size_t n) {
+  auto h = GridHierarchy::Create(Dims3{n, n, n});
+  h.status().Abort("hierarchy");
+  return Interleaver(h.value());
+}
+
+void BM_InterleaverExtract(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const Interleaver il = MakeInterleaver(n);
+  const Array3Dd data = RandomField(il.hierarchy().dims());
+  for (auto _ : state) {
+    auto levels = il.Extract(data);
+    benchmark::DoNotOptimize(levels);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(data.size()));
+}
+BENCHMARK(BM_InterleaverExtract)->Arg(65)->Arg(129);
+
+void BM_InterleaverDeposit(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const Interleaver il = MakeInterleaver(n);
+  const auto levels = il.Extract(RandomField(il.hierarchy().dims()));
+  Array3Dd out(il.hierarchy().dims());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(il.Deposit(levels, &out));
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(out.size()));
+}
+BENCHMARK(BM_InterleaverDeposit)->Arg(65)->Arg(129);
 
 // Thread-count sweep over the 65^3 decomposition (line solves fan out
 // across the pool per axis).

@@ -33,11 +33,12 @@ class Interleaver {
                  Array3Dd* data) const;
 
  private:
-  // Invokes fn(index_within_level, i, j, k) for every node of `level`, in
-  // the canonical (i, j, k)-ascending order. Outer i-slabs run on the
-  // shared thread pool; the index argument is scheduling-independent.
+  // Invokes fn(first, grid_offset, count, stride) for every row run of
+  // `level`: its coefficients [first, first + count) sit at flat grid
+  // positions grid_offset + c * stride, in the canonical (i, j, k) order.
+  // Outer i-slabs run on the shared pool; indices never depend on it.
   template <typename Fn>
-  void ForEachNodeInLevel(int level, Fn&& fn) const;
+  void ForEachRunInLevel(int level, Fn&& fn) const;
 
   GridHierarchy hierarchy_;
 };

@@ -131,14 +131,8 @@ inline std::uint64_t LoadWordLE(const char* src, std::size_t nbytes) {
 inline void EmitBlock(const std::uint64_t* nb, std::size_t i0,
                       std::size_t nblock, int num_planes,
                       std::vector<std::string>* planes) {
-  std::uint64_t m[64];
-  std::size_t r = 0;
-  for (; r < nblock; ++r) {
-    m[r] = nb[i0 + r];
-  }
-  for (; r < 64; ++r) {
-    m[r] = 0;
-  }
+  std::uint64_t m[64] = {};
+  std::memcpy(m, nb + i0, nblock * sizeof(std::uint64_t));
   internal::Transpose64x64(m);
   const std::size_t byte0 = i0 >> 3;
   const std::size_t nbytes = (nblock + 7) >> 3;
@@ -306,6 +300,9 @@ Result<std::vector<double>> BitplaneEncoder::Decode(const BitplaneSet& set,
       std::ldexp(1.0, set.exponent - (set.num_planes - 2));
   const std::size_t n = set.count;
   std::vector<double> coefs(n);
+  if (prefix_planes == 0) {
+    return coefs;  // every digit zero: FromNegabinary(0) * inv_scale is +0.0
+  }
   // Gather each 64-coefficient block's plane words, transpose back to
   // coefficient-major nega-binary words, and convert. Each block owns its
   // slice of the output, so the result is scheduling-independent.
@@ -321,7 +318,7 @@ Result<std::vector<double>> BitplaneEncoder::Decode(const BitplaneSet& set,
                     m[set.num_planes - 1 - p] =
                         LoadWordLE(set.planes[p].data() + (i0 >> 3), nbytes);
                   }
-                  internal::Transpose64x64(m);
+                  internal::Transpose64x64(m, set.num_planes);
                   for (std::size_t r = 0; r < nblock; ++r) {
                     coefs[i0 + r] =
                         static_cast<double>(FromNegabinary(m[r])) * inv_scale;

@@ -9,9 +9,9 @@
 //
 // The hot slicing loops are word-parallel: blocks of 64 nega-binary
 // coefficient words are transposed into plane-major machine words with a
-// 64x64 SWAR bit-matrix transpose (shift/mask butterflies), so every plane
-// is emitted/consumed 64 coefficients per instruction instead of one bit at
-// a time.
+// 64x64 SWAR bit-matrix transpose (six fixed-width shift/mask butterfly
+// rounds the compiler unrolls and vectorises), so every plane is emitted or
+// consumed 64 coefficients per instruction instead of one bit at a time.
 //
 // The error matrix is computed per coefficient as plane vectors: the prefix
 // value at length b is FromNegabinary(word & top-b-digit mask), which needs
@@ -95,17 +95,34 @@ Result<BitplaneSet> DeserializeBitplaneSet(const std::string& in);
 
 namespace internal {
 
-// In-place transpose of a 64x64 bit matrix: bit d of word r moves to bit r
-// of word d. Six rounds of shift/mask butterflies; an involution.
-inline void Transpose64x64(std::uint64_t m[64]) {
-  std::uint64_t mask = 0x00000000FFFFFFFFULL;
-  for (int j = 32; j != 0; j >>= 1, mask ^= mask << j) {
-    for (int k = 0; k < 64; k = (k + j + 1) & ~j) {
-      const std::uint64_t t = ((m[k] >> j) ^ m[k + j]) & mask;
-      m[k + j] ^= t;
-      m[k] ^= t << j;
+// One transpose round over words [0, N): swaps the off-diagonal J x J bit
+// blocks of every 2J x 2J block, in loops with compile-time trip counts.
+template <int J, int N>
+inline void TransposeRound(std::uint64_t* m, std::uint64_t mask) {
+  for (int base = 0; base < N; base += 2 * J) {
+    for (int k = base; k < base + J; ++k) {
+      const std::uint64_t t = ((m[k] >> J) ^ m[k + J]) & mask;
+      m[k + J] ^= t;
+      m[k] ^= t << J;
     }
   }
+}
+
+// In-place transpose of a 64x64 bit matrix: bit d of word r moves to bit r
+// of word d; an involution. Round J swaps index bit log2(J) of the row with
+// that of the column, so the six rounds commute. Rounds J <= 16 keep bits
+// inside their 32-word half and their 32-bit word half; J = 32 runs last,
+// so a matrix whose words from `rows` on are zero skips the upper words'
+// rounds when rows <= 32.
+inline void Transpose64x64(std::uint64_t m[64], int rows = 64) {
+  for (std::uint64_t* h = m; h < m + (rows > 32 ? 64 : 32); h += 32) {
+    TransposeRound<16, 32>(h, 0x0000FFFF0000FFFFULL);
+    TransposeRound<8, 32>(h, 0x00FF00FF00FF00FFULL);
+    TransposeRound<4, 32>(h, 0x0F0F0F0F0F0F0F0FULL);
+    TransposeRound<2, 32>(h, 0x3333333333333333ULL);
+    TransposeRound<1, 32>(h, 0x5555555555555555ULL);
+  }
+  TransposeRound<32, 64>(m, 0x00000000FFFFFFFFULL);
 }
 
 // Structural validation shared by Decode and the scalar reference: checks

@@ -75,25 +75,70 @@ void ExpectBitIdentical(const std::vector<double>& coefs, int num_planes) {
   }
 }
 
-TEST(BitplaneCrossCheck, Transpose64x64IsTrueTransposeAndInvolution) {
-  Rng rng(11);
-  std::uint64_t a[64], t[64];
-  for (auto& w : a) {
-    w = rng.NextUint64();
-  }
-  for (int r = 0; r < 64; ++r) {
-    t[r] = a[r];
-  }
-  internal::Transpose64x64(t);
+// Transposes `a` and checks every bit against the definition (bit d of
+// word r lands at bit r of word d), then that a second transpose restores
+// it.
+void ExpectTrueTransposeAndInvolution(const std::uint64_t a[64]) {
+  std::uint64_t want[64] = {};
   for (int r = 0; r < 64; ++r) {
     for (int d = 0; d < 64; ++d) {
-      ASSERT_EQ((t[d] >> r) & 1u, (a[r] >> d) & 1u)
-          << "r=" << r << " d=" << d;
+      want[d] |= ((a[r] >> d) & 1u) << r;
     }
+  }
+  std::uint64_t t[64];
+  std::memcpy(t, a, sizeof(t));
+  internal::Transpose64x64(t);
+  for (int d = 0; d < 64; ++d) {
+    ASSERT_EQ(t[d], want[d]) << "transposed word " << d;
   }
   internal::Transpose64x64(t);
   for (int r = 0; r < 64; ++r) {
     ASSERT_EQ(t[r], a[r]) << "involution broken at row " << r;
+  }
+}
+
+TEST(BitplaneCrossCheck, Transpose64x64IsTrueTransposeAndInvolution) {
+  std::uint64_t a[64];
+  for (std::uint64_t seed : {11, 12, 13, 14, 15}) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    Rng rng(seed);
+    for (auto& w : a) {
+      w = rng.NextUint64();
+    }
+    ExpectTrueTransposeAndInvolution(a);
+  }
+  // Every single-set-bit matrix: each bit must travel alone to its mirror.
+  for (int r = 0; r < 64; ++r) {
+    for (int d = 0; d < 64; ++d) {
+      SCOPED_TRACE("bit r=" + std::to_string(r) + " d=" + std::to_string(d));
+      std::memset(a, 0, sizeof(a));
+      a[r] = std::uint64_t{1} << d;
+      ExpectTrueTransposeAndInvolution(a);
+    }
+  }
+  // A matrix whose words from `rows` on are zero (a decode with at most 32
+  // planes) may skip the upper words' rounds; the result is unchanged.
+  for (int rows : {1, 5, 31, 32}) {
+    SCOPED_TRACE("rows=" + std::to_string(rows));
+    Rng rng(100 + rows);
+    for (int r = 0; r < 64; ++r) {
+      a[r] = r < rows ? rng.NextUint64() : 0;
+    }
+    std::uint64_t full[64], skip[64];
+    std::memcpy(full, a, sizeof(a));
+    std::memcpy(skip, a, sizeof(a));
+    internal::Transpose64x64(full);
+    internal::Transpose64x64(skip, rows);
+    for (int d = 0; d < 64; ++d) {
+      ASSERT_EQ(skip[d], full[d]) << "word " << d;
+    }
+  }
+  // An all-ones row becomes an all-ones column.
+  for (int r = 0; r < 64; ++r) {
+    SCOPED_TRACE("ones row=" + std::to_string(r));
+    std::memset(a, 0, sizeof(a));
+    a[r] = ~std::uint64_t{0};
+    ExpectTrueTransposeAndInvolution(a);
   }
 }
 
@@ -116,6 +161,51 @@ TEST(BitplaneCrossCheck, OddCountsAndBlockBoundaries) {
                         std::size_t{16384 + 37}, std::size_t{3 * 8192 + 37}}) {
     ExpectBitIdentical(RandomCoefs(n, 2.5, 7 * n + 3), 32);
   }
+}
+
+TEST(BitplaneCrossCheck, DecodeMatchesScalarAtEveryPrefix) {
+  // Several kCoefGrain chunks and a partial last block; every prefix from
+  // nothing to all planes, compared byte for byte.
+  const std::vector<double> coefs = RandomCoefs(3 * 8192 + 37, 3.0, 404);
+  for (int num_planes : {17, 32, 60}) {
+    BitplaneEncoder enc(num_planes);
+    auto set = enc.Encode(coefs, nullptr);
+    ASSERT_TRUE(set.ok());
+    for (int b = 0; b <= num_planes; ++b) {
+      auto fast = enc.Decode(set.value(), b);
+      auto ref = internal::DecodeScalar(set.value(), b);
+      ASSERT_TRUE(fast.ok());
+      ASSERT_TRUE(ref.ok());
+      ASSERT_EQ(fast.value().size(), ref.value().size());
+      EXPECT_EQ(std::memcmp(fast.value().data(), ref.value().data(),
+                            ref.value().size() * sizeof(double)),
+                0)
+          << "num_planes=" << num_planes << " prefix=" << b;
+    }
+  }
+}
+
+TEST(BitplaneCrossCheck, EmptyPrefixDecodesToPositiveZero) {
+  // An all-negative level: a zero-plane decode must still give +0.0 for
+  // every coefficient, as converting the all-zero digit words does.
+  std::vector<double> coefs = RandomCoefs(1000, 2.0, 77);
+  for (double& c : coefs) {
+    c = -std::fabs(c) - 0.5;
+  }
+  BitplaneEncoder enc(32);
+  auto set = enc.Encode(coefs, nullptr);
+  ASSERT_TRUE(set.ok());
+  auto decoded = enc.Decode(set.value(), 0);
+  ASSERT_TRUE(decoded.ok());
+  ASSERT_EQ(decoded.value().size(), coefs.size());
+  for (double v : decoded.value()) {
+    ASSERT_EQ(v, 0.0);
+    ASSERT_FALSE(std::signbit(v));
+  }
+  // Validation still runs: a missing plane fails even at prefix 0.
+  BitplaneSet bad = set.value();
+  bad.planes[5].pop_back();
+  EXPECT_FALSE(enc.Decode(bad, 0).ok());
 }
 
 TEST(BitplaneCrossCheck, AllZeroAndConstantLevels) {
