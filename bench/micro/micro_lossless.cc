@@ -25,7 +25,8 @@ void BM_CompressSparse(benchmark::State& state) {
   const std::string payload =
       SparsePayload(static_cast<std::size_t>(state.range(0)), 0.02);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(lossless::Compress(payload));
+    benchmark::DoNotOptimize(
+        lossless::CompressWith(payload, "pipeline").value());
   }
   state.SetBytesProcessed(state.iterations() *
                           static_cast<int64_t>(payload.size()));
@@ -36,7 +37,8 @@ void BM_CompressDense(benchmark::State& state) {
   const std::string payload =
       SparsePayload(static_cast<std::size_t>(state.range(0)), 0.9);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(lossless::Compress(payload));
+    benchmark::DoNotOptimize(
+        lossless::CompressWith(payload, "pipeline").value());
   }
   state.SetBytesProcessed(state.iterations() *
                           static_cast<int64_t>(payload.size()));
@@ -45,7 +47,8 @@ BENCHMARK(BM_CompressDense)->Arg(65536);
 
 void BM_Decompress(benchmark::State& state) {
   const std::string payload = SparsePayload(65536, 0.02);
-  const std::string compressed = lossless::Compress(payload);
+  const std::string compressed =
+      lossless::CompressWith(payload, "pipeline").value();
   for (auto _ : state) {
     auto out = lossless::Decompress(compressed);
     benchmark::DoNotOptimize(out);

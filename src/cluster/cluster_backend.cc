@@ -33,20 +33,6 @@ std::string SegmentName(const std::string& field_id, int level, int plane) {
 
 }  // namespace
 
-const char* NodeHealthToString(NodeHealth health) {
-  switch (health) {
-    case NodeHealth::kHealthy:
-      return "healthy";
-    case NodeHealth::kSuspect:
-      return "suspect";
-    case NodeHealth::kDown:
-      return "down";
-    case NodeHealth::kKilled:
-      return "killed";
-  }
-  return "unknown";
-}
-
 ClusterBackend::ClusterBackend(ClusterOptions options)
     : options_(options),
       replication_(std::max(1, std::min(options.replication,

@@ -70,8 +70,6 @@ enum class NodeHealth {
   kKilled,   // administratively dead (chaos harness); never attempted
 };
 
-const char* NodeHealthToString(NodeHealth health);
-
 struct ClusterOptions {
   int num_nodes = 4;
   int replication = 2;  // clamped to num_nodes

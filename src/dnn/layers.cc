@@ -89,38 +89,5 @@ Matrix LeakyRelu::Backward(const Matrix& grad_out) {
   return grad_in;
 }
 
-Dropout::Dropout(double rate, Rng* rng) : rate_(rate), rng_(rng) {
-  MGARDP_CHECK(rate >= 0.0 && rate < 1.0) << "dropout rate out of range";
-  MGARDP_CHECK(rng != nullptr);
-}
-
-Matrix Dropout::Forward(const Matrix& x) {
-  if (!training_ || rate_ == 0.0) {
-    mask_ = Matrix();
-    return x;
-  }
-  const double scale = 1.0 / (1.0 - rate_);
-  mask_ = Matrix(x.rows(), x.cols());
-  Matrix out = x;
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    const double keep = rng_->NextDouble() >= rate_ ? scale : 0.0;
-    mask_.vector()[i] = keep;
-    out.vector()[i] *= keep;
-  }
-  return out;
-}
-
-Matrix Dropout::Backward(const Matrix& grad_out) {
-  if (mask_.empty()) {
-    return grad_out;
-  }
-  MGARDP_CHECK_EQ(grad_out.size(), mask_.size());
-  Matrix grad_in = grad_out;
-  for (std::size_t i = 0; i < grad_in.size(); ++i) {
-    grad_in.vector()[i] *= mask_.vector()[i];
-  }
-  return grad_in;
-}
-
 }  // namespace dnn
 }  // namespace mgardp

@@ -7,13 +7,10 @@
 #ifndef MGARDP_DNN_LAYERS_H_
 #define MGARDP_DNN_LAYERS_H_
 
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "dnn/matrix.h"
 #include "util/rng.h"
-#include "util/status.h"
 
 namespace mgardp {
 namespace dnn {
@@ -26,10 +23,9 @@ class Layer {
   // cache activations for the subsequent Backward.
   virtual Matrix Forward(const Matrix& x) = 0;
 
-  // Inference-only forward: no activation caching, no training behaviour
-  // (dropout is identity), no state writes at all — safe to call
-  // concurrently on a shared const model, which Forward is not (its
-  // activation caches are written on every call).
+  // Inference-only forward: no activation caching, no state writes at all
+  // — safe to call concurrently on a shared const model, which Forward is
+  // not (its activation caches are written on every call).
   virtual Matrix Infer(const Matrix& x) const = 0;
 
   // grad_out is dLoss/dOutput; returns dLoss/dInput and accumulates
@@ -45,12 +41,6 @@ class Layer {
       g->Fill(0.0);
     }
   }
-
-  // Layer type tag for serialization.
-  virtual std::string Kind() const = 0;
-
-  // Toggles training-time behaviour (dropout etc.); default is a no-op.
-  virtual void SetTraining(bool) {}
 };
 
 // Fully connected layer: y = x W + b, W is (in, out), b is (1, out).
@@ -66,7 +56,6 @@ class Linear : public Layer {
   Matrix Backward(const Matrix& grad_out) override;
   std::vector<Matrix*> Params() override { return {&weight_, &bias_}; }
   std::vector<Matrix*> Grads() override { return {&grad_weight_, &grad_bias_}; }
-  std::string Kind() const override { return "linear"; }
 
   std::size_t in_features() const { return weight_.rows(); }
   std::size_t out_features() const { return weight_.cols(); }
@@ -88,38 +77,12 @@ class LeakyRelu : public Layer {
   Matrix Forward(const Matrix& x) override;
   Matrix Infer(const Matrix& x) const override;
   Matrix Backward(const Matrix& grad_out) override;
-  std::string Kind() const override { return "leaky_relu"; }
 
   double slope() const { return slope_; }
 
  private:
   double slope_;
   Matrix cached_input_;
-};
-
-// Inverted dropout: during training each activation is zeroed with
-// probability `rate` and survivors are scaled by 1/(1-rate), so evaluation
-// needs no rescaling. A no-op outside training mode.
-class Dropout : public Layer {
- public:
-  // `rate` in [0, 1); `rng` must outlive the layer.
-  Dropout(double rate, Rng* rng);
-
-  Matrix Forward(const Matrix& x) override;
-  // Identity: inference is deterministic regardless of the rate.
-  Matrix Infer(const Matrix& x) const override { return x; }
-  Matrix Backward(const Matrix& grad_out) override;
-  std::string Kind() const override { return "dropout"; }
-  void SetTraining(bool training) override { training_ = training; }
-
-  double rate() const { return rate_; }
-  bool training() const { return training_; }
-
- private:
-  double rate_;
-  Rng* rng_;
-  bool training_ = false;
-  Matrix mask_;  // per-element keep/scale factors from the last Forward
 };
 
 }  // namespace dnn

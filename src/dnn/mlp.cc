@@ -34,9 +34,6 @@ Mlp::Mlp(const MlpConfig& config, Rng* rng) : config_(config) {
 
 void Mlp::Build(Rng* rng) {
   layers_.clear();
-  if (config_.dropout > 0.0 && dropout_rng_ == nullptr) {
-    dropout_rng_ = std::make_unique<Rng>(0x647270u);  // fixed seed: "drp"
-  }
   std::size_t in = config_.input_dim;
   for (std::size_t h : config_.hidden_dims) {
     if (rng != nullptr) {
@@ -45,10 +42,6 @@ void Mlp::Build(Rng* rng) {
       layers_.push_back(std::make_unique<Linear>(in, h));
     }
     layers_.push_back(std::make_unique<LeakyRelu>(config_.leaky_slope));
-    if (config_.dropout > 0.0) {
-      layers_.push_back(
-          std::make_unique<Dropout>(config_.dropout, dropout_rng_.get()));
-    }
     in = h;
   }
   if (rng != nullptr) {
@@ -85,12 +78,6 @@ void Mlp::Backward(const Matrix& grad_out) {
   Matrix g = grad_out;
   for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
     g = (*it)->Backward(g);
-  }
-}
-
-void Mlp::SetTraining(bool training) {
-  for (auto& layer : layers_) {
-    layer->SetTraining(training);
   }
 }
 
@@ -135,7 +122,9 @@ void Mlp::Serialize(BinaryWriter* w) const {
   w->PutVector(hidden);
   w->Put<std::uint64_t>(config_.output_dim);
   w->Put<double>(config_.leaky_slope);
-  w->Put<double>(config_.dropout);
+  // A retired dropout rate: always written as 0 and ignored on load (it
+  // never applied at inference), so the blob layout stays unchanged.
+  w->Put<double>(0.0);
   // Weights, in layer order.
   for (const auto& layer : layers_) {
     for (Matrix* p : const_cast<Layer&>(*layer).Params()) {
@@ -152,9 +141,8 @@ Status Mlp::Deserialize(BinaryReader* r) {
   MGARDP_RETURN_NOT_OK(r->GetVector(&hidden));
   MGARDP_RETURN_NOT_OK(r->Get(&output_dim));
   MGARDP_RETURN_NOT_OK(r->Get(&slope));
-  double dropout = 0.0;
-  MGARDP_RETURN_NOT_OK(r->Get(&dropout));
-  config_.dropout = dropout;
+  double retired_dropout = 0.0;
+  MGARDP_RETURN_NOT_OK(r->Get(&retired_dropout));
   config_.input_dim = input_dim;
   config_.hidden_dims.assign(hidden.begin(), hidden.end());
   config_.output_dim = output_dim;

@@ -25,9 +25,6 @@ struct MlpConfig {
   // Negative-side slope for the activations; 0 = plain ReLU, 0.01 = the
   // leaky ReLU of the paper.
   double leaky_slope = 0.01;
-  // Dropout rate applied after every hidden activation (0 disables). Only
-  // active while the trainer runs; inference is deterministic.
-  double dropout = 0.0;
 
   // The D-MGARD per-level network: six hidden layers of `width`.
   static MlpConfig DMgardDefault(std::size_t input_dim, std::size_t width);
@@ -47,13 +44,11 @@ class Mlp {
 
   Matrix Forward(const Matrix& x);
   // Inference-only forward over any number of rows: no activation caches,
-  // no dropout, no writes — bit-identical to an eval-mode Forward and safe
-  // to call concurrently on a shared const network. Batching rows through
-  // one Predict is bit-identical to row-by-row calls (every per-element
-  // accumulation order is row-local).
+  // no writes — bit-identical to Forward and safe to call concurrently on
+  // a shared const network. Batching rows through one Predict is
+  // bit-identical to row-by-row calls (every per-element accumulation order
+  // is row-local).
   Matrix Predict(const Matrix& x) const;
-  // Switches training-time behaviour (dropout) on or off for all layers.
-  void SetTraining(bool training);
   // Backpropagates dLoss/dOutput; parameter gradients accumulate in layers.
   void Backward(const Matrix& grad_out);
   void ZeroGrad();
@@ -71,8 +66,6 @@ class Mlp {
 
   MlpConfig config_;
   std::vector<std::unique_ptr<Layer>> layers_;
-  // Drives dropout masks; owned here so layers can hold a stable pointer.
-  std::unique_ptr<Rng> dropout_rng_;
 };
 
 }  // namespace dnn

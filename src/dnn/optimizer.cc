@@ -7,19 +7,6 @@
 namespace mgardp {
 namespace dnn {
 
-void Sgd::Step(const std::vector<Matrix*>& params,
-               const std::vector<Matrix*>& grads) {
-  MGARDP_CHECK_EQ(params.size(), grads.size());
-  for (std::size_t s = 0; s < params.size(); ++s) {
-    auto& p = params[s]->vector();
-    const auto& g = grads[s]->vector();
-    MGARDP_CHECK_EQ(p.size(), g.size());
-    for (std::size_t i = 0; i < p.size(); ++i) {
-      p[i] -= lr_ * g[i];
-    }
-  }
-}
-
 void Adam::Step(const std::vector<Matrix*>& params,
                 const std::vector<Matrix*>& grads) {
   MGARDP_CHECK_EQ(params.size(), grads.size());
@@ -33,19 +20,19 @@ void Adam::Step(const std::vector<Matrix*>& params,
   }
   MGARDP_CHECK_EQ(m_.size(), params.size());
   ++step_;
-  const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(step_));
-  const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(step_));
+  const double bc1 = 1.0 - std::pow(kBeta1, static_cast<double>(step_));
+  const double bc2 = 1.0 - std::pow(kBeta2, static_cast<double>(step_));
   for (std::size_t s = 0; s < params.size(); ++s) {
     auto& p = params[s]->vector();
     const auto& g = grads[s]->vector();
     MGARDP_CHECK_EQ(p.size(), g.size());
     MGARDP_CHECK_EQ(p.size(), m_[s].size());
     for (std::size_t i = 0; i < p.size(); ++i) {
-      m_[s][i] = beta1_ * m_[s][i] + (1.0 - beta1_) * g[i];
-      v_[s][i] = beta2_ * v_[s][i] + (1.0 - beta2_) * g[i] * g[i];
+      m_[s][i] = kBeta1 * m_[s][i] + (1.0 - kBeta1) * g[i];
+      v_[s][i] = kBeta2 * v_[s][i] + (1.0 - kBeta2) * g[i] * g[i];
       const double mhat = m_[s][i] / bc1;
       const double vhat = v_[s][i] / bc2;
-      p[i] -= lr_ * (mhat / (std::sqrt(vhat) + eps_) + weight_decay_ * p[i]);
+      p[i] -= lr_ * (mhat / (std::sqrt(vhat) + kEps));
     }
   }
 }

@@ -1,5 +1,5 @@
-// First-order optimizers. The paper trains with small learning rates
-// (5e-5 / 1e-5); Adam is the default, plain SGD kept for comparison.
+// Adam, the paper's optimizer. It trains with small learning rates
+// (5e-5 / 1e-5).
 
 #ifndef MGARDP_DNN_OPTIMIZER_H_
 #define MGARDP_DNN_OPTIMIZER_H_
@@ -11,41 +11,21 @@
 namespace mgardp {
 namespace dnn {
 
-class Optimizer {
+class Adam {
  public:
-  virtual ~Optimizer() = default;
+  explicit Adam(double lr) : lr_(lr) {}
+
   // Applies one update step: params[i] -= f(grads[i]). The two vectors are
   // parallel and must keep the same shapes across calls (state is per-slot).
-  virtual void Step(const std::vector<Matrix*>& params,
-                    const std::vector<Matrix*>& grads) = 0;
-};
-
-class Sgd : public Optimizer {
- public:
-  explicit Sgd(double lr) : lr_(lr) {}
   void Step(const std::vector<Matrix*>& params,
-            const std::vector<Matrix*>& grads) override;
+            const std::vector<Matrix*>& grads);
 
  private:
+  static constexpr double kBeta1 = 0.9;
+  static constexpr double kBeta2 = 0.999;
+  static constexpr double kEps = 1e-8;
+
   double lr_;
-};
-
-// Adam with optional decoupled weight decay (AdamW): the decay is applied
-// directly to the parameters, not through the moment estimates.
-class Adam : public Optimizer {
- public:
-  explicit Adam(double lr, double weight_decay = 0.0, double beta1 = 0.9,
-                double beta2 = 0.999, double eps = 1e-8)
-      : lr_(lr),
-        weight_decay_(weight_decay),
-        beta1_(beta1),
-        beta2_(beta2),
-        eps_(eps) {}
-  void Step(const std::vector<Matrix*>& params,
-            const std::vector<Matrix*>& grads) override;
-
- private:
-  double lr_, weight_decay_, beta1_, beta2_, eps_;
   long step_ = 0;
   std::vector<std::vector<double>> m_, v_;  // per-slot moments
 };

@@ -1,11 +1,8 @@
 #include "dnn/trainer.h"
 
 #include <algorithm>
-#include <iostream>
-#include <limits>
 #include <memory>
 #include <numeric>
-#include <sstream>
 
 #include "dnn/optimizer.h"
 #include "obs/tracer.h"
@@ -35,63 +32,31 @@ Result<TrainReport> Train(Mlp* mlp, const Matrix& features,
   }
 
   std::unique_ptr<Loss> loss = MakeLoss(config.loss);
-  std::unique_ptr<Optimizer> opt;
-  if (config.optimizer == "adam") {
-    opt = std::make_unique<Adam>(config.learning_rate, config.weight_decay);
-  } else if (config.optimizer == "sgd") {
-    opt = std::make_unique<Sgd>(config.learning_rate);
-  } else {
-    return Status::Invalid("trainer: unknown optimizer " + config.optimizer);
-  }
-
-  if (config.validation_fraction < 0.0 || config.validation_fraction >= 1.0) {
-    return Status::Invalid("trainer: validation_fraction out of range");
-  }
+  Adam opt(config.learning_rate);
 
   Rng rng(config.seed);
-  const std::size_t total = features.rows();
-  std::vector<std::size_t> all(total);
-  std::iota(all.begin(), all.end(), 0);
-  // Shuffle once to draw a validation split, then keep shuffling the
-  // training part each epoch.
-  for (std::size_t i = total - 1; i > 0; --i) {
-    std::swap(all[i], all[rng.NextBounded(i + 1)]);
-  }
-  std::size_t n_val = static_cast<std::size_t>(
-      config.validation_fraction * static_cast<double>(total));
-  if (config.validation_fraction > 0.0 && n_val == 0) {
-    n_val = 1;
-  }
-  if (n_val >= total) {
-    return Status::Invalid("trainer: validation split leaves no train rows");
-  }
-  std::vector<std::size_t> val(all.end() - n_val, all.end());
-  std::vector<std::size_t> order(all.begin(), all.end() - n_val);
-  const std::size_t n = order.size();
-
-  Matrix val_x, val_y;
-  if (n_val > 0) {
-    val_x = features.GatherRows(val);
-    val_y = targets.GatherRows(val);
-  }
+  const std::size_t n = features.rows();
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  // Fisher-Yates shuffle with our deterministic RNG, once before training
+  // and once per epoch. The first pass is part of the seeded protocol:
+  // without it every epoch order, and so every weight a seed reproduces,
+  // would change.
+  auto shuffle = [&] {
+    for (std::size_t i = n - 1; i > 0; --i) {
+      std::swap(order[i], order[rng.NextBounded(i + 1)]);
+    }
+  };
+  shuffle();
 
   TrainReport report;
   report.epoch_loss.reserve(config.epochs);
   const auto params = mlp->Params();
   const auto grads = mlp->Grads();
-
-  double best_val = std::numeric_limits<double>::infinity();
-  int since_best = 0;
-  std::vector<std::vector<double>> best_params;
-
   for (int epoch = 0; epoch < config.epochs; ++epoch) {
-    // Fisher-Yates shuffle with our deterministic RNG.
-    for (std::size_t i = n - 1; i > 0; --i) {
-      std::swap(order[i], order[rng.NextBounded(i + 1)]);
-    }
+    shuffle();
     double epoch_loss = 0.0;
     std::size_t batches = 0;
-    mlp->SetTraining(true);
     for (std::size_t start = 0; start < n; start += config.batch_size) {
       const std::size_t end = std::min(n, start + config.batch_size);
       std::vector<std::size_t> batch(order.begin() + start,
@@ -102,48 +67,10 @@ Result<TrainReport> Train(Mlp* mlp, const Matrix& features,
       epoch_loss += loss->Value(pred, y);
       mlp->ZeroGrad();
       mlp->Backward(loss->Grad(pred, y));
-      opt->Step(params, grads);
+      opt.Step(params, grads);
       ++batches;
     }
-    mlp->SetTraining(false);
-    epoch_loss /= static_cast<double>(batches);
-    report.epoch_loss.push_back(epoch_loss);
-
-    if (n_val > 0) {
-      const double vl = loss->Value(mlp->Forward(val_x), val_y);
-      report.val_loss.push_back(vl);
-      if (vl < best_val) {
-        best_val = vl;
-        report.best_epoch = epoch;
-        since_best = 0;
-        best_params.clear();
-        for (Matrix* p : params) {
-          best_params.push_back(p->vector());
-        }
-      } else if (++since_best >= config.patience) {
-        report.early_stopped = true;
-        break;
-      }
-    } else {
-      report.best_epoch = epoch;
-    }
-
-    if (config.log_every > 0 && (epoch + 1) % config.log_every == 0) {
-      std::ostringstream line;
-      line << "epoch " << (epoch + 1) << "/" << config.epochs
-           << " loss=" << epoch_loss;
-      if (config.log_fn) {
-        config.log_fn(line.str());
-      } else {
-        std::cerr << line.str() << std::endl;
-      }
-    }
-  }
-
-  if (!best_params.empty()) {
-    for (std::size_t s = 0; s < params.size(); ++s) {
-      params[s]->vector() = best_params[s];
-    }
+    report.epoch_loss.push_back(epoch_loss / static_cast<double>(batches));
   }
   report.final_loss = report.epoch_loss.back();
   return report;

@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "encode/negabinary.h"
-#include "util/io.h"
 #include "util/logging.h"
 #include "util/parallel.h"
 
@@ -326,50 +325,6 @@ Result<std::vector<double>> BitplaneEncoder::Decode(const BitplaneSet& set,
                 }
               });
   return coefs;
-}
-
-void SerializeBitplaneSet(const BitplaneSet& set, std::string* out) {
-  BinaryWriter w;
-  w.Put<std::int32_t>(set.num_planes);
-  w.Put<std::int32_t>(set.exponent);
-  w.Put<std::uint64_t>(set.count);
-  w.Put<std::uint64_t>(set.planes.size());
-  for (const std::string& p : set.planes) {
-    w.PutString(p);
-  }
-  *out = w.TakeBuffer();
-}
-
-Result<BitplaneSet> DeserializeBitplaneSet(const std::string& in) {
-  BinaryReader r(in);
-  BitplaneSet set;
-  std::int32_t num_planes = 0, exponent = 0;
-  std::uint64_t count = 0, n_planes = 0;
-  MGARDP_RETURN_NOT_OK(r.Get(&num_planes));
-  MGARDP_RETURN_NOT_OK(r.Get(&exponent));
-  MGARDP_RETURN_NOT_OK(r.Get(&count));
-  MGARDP_RETURN_NOT_OK(r.Get(&n_planes));
-  // Reject impossible shapes before allocating anything sized by them: a
-  // corrupt n_planes would otherwise drive a multi-gigabyte resize, and a
-  // count that disagrees with the stored payload sizes would let Decode
-  // index past plane ends.
-  if (num_planes < 2 || num_planes > 60) {
-    return Status::Invalid("BitplaneSet: num_planes out of range");
-  }
-  if (n_planes > static_cast<std::uint64_t>(num_planes)) {
-    return Status::Invalid("BitplaneSet: more planes than num_planes");
-  }
-  set.num_planes = num_planes;
-  set.exponent = exponent;
-  set.count = count;
-  set.planes.resize(n_planes);
-  for (auto& p : set.planes) {
-    MGARDP_RETURN_NOT_OK(r.GetString(&p));
-    if (p.size() != set.PlaneBytes()) {
-      return Status::Invalid("BitplaneSet: plane size disagrees with count");
-    }
-  }
-  return set;
 }
 
 namespace internal {

@@ -85,14 +85,6 @@ class BitplaneEncoder {
   int num_planes_;
 };
 
-// Serialization of a BitplaneSet (including plane payloads).
-void SerializeBitplaneSet(const BitplaneSet& set, std::string* out);
-// Rejects structurally invalid input: num_planes outside [2, 60], more
-// planes than num_planes, or any plane payload whose size disagrees with
-// `count`. Guarantees the returned set passes Decode's validation shape
-// checks for any in-range prefix.
-Result<BitplaneSet> DeserializeBitplaneSet(const std::string& in);
-
 namespace internal {
 
 // One transpose round over words [0, N): swaps the off-diagonal J x J bit

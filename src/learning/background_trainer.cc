@@ -21,8 +21,6 @@ BackgroundTrainer::BackgroundTrainer(TrainingSetCollector* collector,
       metrics_(metrics),
       options_(std::move(options)) {}
 
-BackgroundTrainer::~BackgroundTrainer() { Stop(); }
-
 bool BackgroundTrainer::ShouldTrain() const {
   if (collector_->RowCount(options_.model_id) < options_.min_rows) {
     return false;
@@ -74,16 +72,12 @@ Result<int> BackgroundTrainer::TrainNow() {
   const bool is_emgard =
       options_.model_id.find("emgard") != std::string::npos;
   if (is_emgard) {
-    EMgardConfig config = options_.emgard;
-    config.train.log_fn = options_.log_fn;
     MGARDP_ASSIGN_OR_RETURN(EMgardModel model,
-                            EMgardModel::TrainModel(rows, config));
+                            EMgardModel::TrainModel(rows, options_.emgard));
     blob = model.Serialize();
   } else {
-    DMgardConfig config = options_.dmgard;
-    config.train.log_fn = options_.log_fn;
     MGARDP_ASSIGN_OR_RETURN(DMgardModel model,
-                            DMgardModel::TrainModel(rows, config));
+                            DMgardModel::TrainModel(rows, options_.dmgard));
     blob = model.Serialize();
   }
 
@@ -107,43 +101,6 @@ Result<int> BackgroundTrainer::TrainNow() {
     MGARDP_RETURN_NOT_OK(shadow_->StartShadow(options_.model_id, version));
   }
   return version;
-}
-
-void BackgroundTrainer::Start() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (running_) {
-    return;
-  }
-  running_ = true;
-  thread_ = std::thread([this] {
-    std::unique_lock<std::mutex> lock(mu_);
-    while (running_) {
-      lock.unlock();
-      if (ShouldTrain()) {
-        const Result<int> trained = TrainNow();
-        if (!trained.ok() && options_.log_fn) {
-          options_.log_fn("refit failed: " +
-                          trained.status().ToString());
-        }
-      }
-      lock.lock();
-      cv_.wait_for(lock, options_.poll, [this] { return !running_; });
-    }
-  });
-}
-
-void BackgroundTrainer::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!running_ && !thread_.joinable()) {
-      return;
-    }
-    running_ = false;
-  }
-  cv_.notify_all();
-  if (thread_.joinable()) {
-    thread_.join();
-  }
 }
 
 std::uint64_t BackgroundTrainer::retrains() const {

@@ -3,9 +3,9 @@
 // The trainer closes the drift loop: the auditor's rolling per-level
 // monitors flag a stale model, the TrainingSetCollector has been absorbing
 // the offending traffic all along, and RunOnce turns that into a new
-// candidate — refit with dnn::Trainer (validation split + early stopping),
-// publish into the ModelRegistry, hand to the ShadowEvaluator. Nothing
-// serves until the shadow run proves the candidate better.
+// candidate — refit with dnn::Train, publish into the ModelRegistry, hand
+// to the ShadowEvaluator. Nothing serves until the shadow run proves the
+// candidate better.
 //
 // Two triggers, either fires a refit:
 //   * drift: any audited model whose base id matches ours reports a
@@ -17,21 +17,16 @@
 // already being in flight — publishing a second candidate while the first
 // is still being judged would race the promotion state machine.
 //
-// Deployment: Start() runs the trigger loop on a dedicated thread (the
-// training matmuls themselves fan out on the shared pool via the dnn
-// layer); tests and the retrain bench call RunOnce()/TrainNow() inline
-// for determinism.
+// Callers drive it inline with RunOnce()/TrainNow(), which keeps refits
+// deterministic; the training matmuls fan out on the shared pool.
 
 #ifndef MGARDP_LEARNING_BACKGROUND_TRAINER_H_
 #define MGARDP_LEARNING_BACKGROUND_TRAINER_H_
 
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <mutex>
 #include <string>
-#include <thread>
 
 #include "learning/model_registry.h"
 #include "learning/shadow.h"
@@ -60,11 +55,10 @@ class BackgroundTrainer {
     // updates it); without fresh data a refit would reproduce the same
     // model from the same reservoir.
     std::uint64_t drift_cooldown_rows = 16;
-    std::chrono::milliseconds poll{100};
     DMgardConfig dmgard;
     EMgardConfig emgard;
-    // Training progress sink (wired into TrainConfig::log_fn so epochs
-    // never write to the serving process's stdout/stderr).
+    // Progress sink for publish notices, so they never write to the
+    // serving process's stdout/stderr.
     std::function<void(const std::string&)> log_fn;
   };
 
@@ -81,7 +75,6 @@ class BackgroundTrainer {
                     ShadowEvaluator* shadow,
                     obs::ErrorControlAuditor* auditor,
                     ServiceMetrics* metrics, Options options);
-  ~BackgroundTrainer();
 
   BackgroundTrainer(const BackgroundTrainer&) = delete;
   BackgroundTrainer& operator=(const BackgroundTrainer&) = delete;
@@ -92,10 +85,6 @@ class BackgroundTrainer {
 
   // Unconditional refit (still requires min_rows of data).
   Result<int> TrainNow();
-
-  // Dedicated-thread trigger loop (idempotent Start; Stop joins).
-  void Start();
-  void Stop();
 
   std::uint64_t retrains() const;
   bool ShouldTrain() const;  // trigger state, for tests/introspection
@@ -109,9 +98,6 @@ class BackgroundTrainer {
   Options options_;
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::thread thread_;
-  bool running_ = false;
   std::uint64_t retrains_ = 0;
   std::uint64_t trained_at_accepted_ = 0;  // watermark baseline
 };

@@ -1,21 +1,14 @@
 #include "learning/training_set.h"
 
 #include <algorithm>
-#include <cstring>
 #include <utility>
 
 #include "models/features.h"
-#include "util/crc32c.h"
-#include "util/io.h"
 
 namespace mgardp {
 namespace learning {
 
 namespace {
-
-// "MPTS" — mgardp training set.
-constexpr std::uint32_t kTrainingSetMagic = 0x4D505453u;
-constexpr std::uint32_t kTrainingSetVersion = 1;
 
 // Stable 64-bit key hash (FNV-1a) for deriving per-bucket RNG seeds.
 std::uint64_t HashKey(const std::string& model, std::size_t levels) {
@@ -157,112 +150,6 @@ void TrainingSetCollector::Clear() {
   buckets_.clear();
   accepted_.clear();
   skipped_ = 0;
-}
-
-std::string SerializeTrainingSet(const std::string& model,
-                                 const std::vector<RetrievalRecord>& rows) {
-  BinaryWriter w;
-  w.Put<std::uint32_t>(kTrainingSetMagic);
-  w.Put<std::uint32_t>(kTrainingSetVersion);
-  w.PutString(model);
-  w.Put<std::uint64_t>(rows.size());
-  for (const RetrievalRecord& r : rows) {
-    w.Put<std::int32_t>(r.timestep);
-    w.Put<double>(r.requested_rel_error);
-    w.Put<double>(r.requested_abs_error);
-    w.Put<double>(r.achieved_error);
-    w.Put<double>(r.estimated_error);
-    w.Put<std::uint64_t>(r.total_bytes);
-    w.PutVector(r.bitplanes);
-    w.PutVector(r.level_errors);
-    w.PutVector(r.features);
-    w.Put<std::uint64_t>(r.sketches.size());
-    for (const auto& sketch : r.sketches) {
-      w.PutVector(sketch);
-    }
-    w.Put<std::uint8_t>(r.is_ladder ? 1 : 0);
-  }
-  std::string out = w.TakeBuffer();
-  const std::uint32_t crc = Crc32c(out.data(), out.size());
-  char trailer[sizeof(crc)];
-  std::memcpy(trailer, &crc, sizeof(crc));
-  out.append(trailer, sizeof(crc));
-  return out;
-}
-
-Result<std::vector<RetrievalRecord>> ParseTrainingSet(
-    const std::string& bytes, std::string* model_out) {
-  if (bytes.size() < sizeof(std::uint32_t) * 3) {
-    return Status::DataLoss("training set: truncated container");
-  }
-  std::uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, bytes.data() + bytes.size() - sizeof(stored_crc),
-              sizeof(stored_crc));
-  const std::uint32_t crc =
-      Crc32c(bytes.data(), bytes.size() - sizeof(stored_crc));
-  if (crc != stored_crc) {
-    return Status::DataLoss("training set: CRC mismatch (corrupt snapshot)");
-  }
-  BinaryReader reader(bytes.data(), bytes.size() - sizeof(stored_crc));
-  std::uint32_t magic = 0, version = 0;
-  MGARDP_RETURN_NOT_OK(reader.Get(&magic));
-  if (magic != kTrainingSetMagic) {
-    return Status::DataLoss("training set: bad magic");
-  }
-  MGARDP_RETURN_NOT_OK(reader.Get(&version));
-  if (version != kTrainingSetVersion) {
-    return Status::Invalid("training set: unsupported version");
-  }
-  std::string model;
-  MGARDP_RETURN_NOT_OK(reader.GetString(&model));
-  if (model_out != nullptr) {
-    *model_out = model;
-  }
-  std::uint64_t n = 0;
-  MGARDP_RETURN_NOT_OK(reader.Get(&n));
-  std::vector<RetrievalRecord> rows;
-  rows.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    RetrievalRecord r;
-    std::int32_t timestep = 0;
-    MGARDP_RETURN_NOT_OK(reader.Get(&timestep));
-    r.timestep = timestep;
-    MGARDP_RETURN_NOT_OK(reader.Get(&r.requested_rel_error));
-    MGARDP_RETURN_NOT_OK(reader.Get(&r.requested_abs_error));
-    MGARDP_RETURN_NOT_OK(reader.Get(&r.achieved_error));
-    MGARDP_RETURN_NOT_OK(reader.Get(&r.estimated_error));
-    std::uint64_t total_bytes = 0;
-    MGARDP_RETURN_NOT_OK(reader.Get(&total_bytes));
-    r.total_bytes = total_bytes;
-    MGARDP_RETURN_NOT_OK(reader.GetVector(&r.bitplanes));
-    MGARDP_RETURN_NOT_OK(reader.GetVector(&r.level_errors));
-    MGARDP_RETURN_NOT_OK(reader.GetVector(&r.features));
-    std::uint64_t n_sketches = 0;
-    MGARDP_RETURN_NOT_OK(reader.Get(&n_sketches));
-    r.sketches.resize(n_sketches);
-    for (auto& sketch : r.sketches) {
-      MGARDP_RETURN_NOT_OK(reader.GetVector(&sketch));
-    }
-    std::uint8_t ladder = 0;
-    MGARDP_RETURN_NOT_OK(reader.Get(&ladder));
-    r.is_ladder = ladder != 0;
-    rows.push_back(std::move(r));
-  }
-  if (!reader.exhausted()) {
-    return Status::DataLoss("training set: trailing bytes");
-  }
-  return rows;
-}
-
-Status TrainingSetCollector::SaveSnapshot(const std::string& path,
-                                          const std::string& model) const {
-  return WriteFile(path, SerializeTrainingSet(model, Rows(model)));
-}
-
-Result<std::vector<RetrievalRecord>> TrainingSetCollector::LoadSnapshot(
-    const std::string& path, std::string* model_out) {
-  MGARDP_ASSIGN_OR_RETURN(std::string bytes, ReadFileToString(path));
-  return ParseTrainingSet(bytes, model_out);
 }
 
 }  // namespace learning

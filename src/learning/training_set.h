@@ -13,10 +13,6 @@
 // level, so rows of different shapes cannot share a matrix. The model key
 // is normalized by stripping any "@vN" version suffix — traffic served by
 // "dmgard@v3" and "dmgard@v4" trains the same base model.
-//
-// Snapshots persist one model's rows as a versioned container with a
-// CRC-32C trailer; a corrupted byte anywhere loads back as kDataLoss, the
-// same contract the segment container gives.
 
 #ifndef MGARDP_LEARNING_TRAINING_SET_H_
 #define MGARDP_LEARNING_TRAINING_SET_H_
@@ -31,7 +27,6 @@
 #include "models/training_data.h"
 #include "obs/audit.h"
 #include "util/rng.h"
-#include "util/status.h"
 
 namespace mgardp {
 namespace learning {
@@ -73,14 +68,6 @@ class TrainingSetCollector : public obs::AuditSink {
 
   void Clear();
 
-  // Snapshot persistence: magic + version + model + rows + CRC-32C
-  // trailer. Save writes the rows Rows(model) returns; Load verifies the
-  // checksum before parsing and rejects any corruption as kDataLoss.
-  Status SaveSnapshot(const std::string& path,
-                      const std::string& model) const;
-  static Result<std::vector<RetrievalRecord>> LoadSnapshot(
-      const std::string& path, std::string* model_out = nullptr);
-
  private:
   struct Reservoir {
     std::vector<RetrievalRecord> rows;
@@ -98,12 +85,6 @@ class TrainingSetCollector : public obs::AuditSink {
   std::uint64_t sequence_ = 0;  // becomes RetrievalRecord.timestep
   std::uint64_t skipped_ = 0;
 };
-
-// Serializes rows into the snapshot container (exposed for tests).
-std::string SerializeTrainingSet(const std::string& model,
-                                 const std::vector<RetrievalRecord>& rows);
-Result<std::vector<RetrievalRecord>> ParseTrainingSet(
-    const std::string& bytes, std::string* model_out = nullptr);
 
 }  // namespace learning
 }  // namespace mgardp

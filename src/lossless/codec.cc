@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <mutex>
 #include <queue>
 #include <vector>
 
+#include "lossless/rice.h"
 #include "util/io.h"
 #include "util/logging.h"
 #include "util/parallel.h"
@@ -719,47 +718,9 @@ Result<std::string> DecompressPipeline(const std::string& in) {
   return out;
 }
 
-// The legacy RLE/LZ/Huffman pipeline as a registry codec. Its containers
-// carry a flags byte in 0x00..0x0F rather than a dedicated id, so it owns
-// that whole range in the registry and its nominal Id() is 0x00.
-class PipelineCodecImpl : public Codec {
- public:
-  const char* Name() const override { return "pipeline"; }
-  std::uint8_t Id() const override { return 0x00; }
-  std::string Compress(const std::string& in) const override {
-    if (in.size() <= kChunkSize) {
-      return CompressWhole(in);
-    }
-    return CompressChunked(in);
-  }
-  Result<std::string> Decompress(const std::string& in) const override {
-    return DecompressPipeline(in);
-  }
-};
-
-// Codec registry: one atomic slot per possible id byte, so Decompress
-// routing is a single load with no lock on the hot path. The ordered list
-// (for listings and name lookup) is append-only under the mutex.
-struct Registry {
-  std::array<std::atomic<const Codec*>, 256> by_id{};
-  std::mutex mu;
-  std::vector<const Codec*> ordered;
-
-  Registry() {
-    const Codec& pipeline = PipelineCodec();
-    for (std::uint8_t id = 0; id < kFirstRegisteredCodecId; ++id) {
-      by_id[id].store(&pipeline, std::memory_order_relaxed);
-    }
-    ordered.push_back(&pipeline);
-    const Codec& rice = RiceCodec();
-    by_id[rice.Id()].store(&rice, std::memory_order_relaxed);
-    ordered.push_back(&rice);
-  }
-};
-
-Registry& GetRegistry() {
-  static Registry registry;
-  return registry;
+// The pipeline container: whole-buffer up to one chunk, framed above.
+std::string CompressPipeline(const std::string& in) {
+  return in.size() <= kChunkSize ? CompressWhole(in) : CompressChunked(in);
 }
 
 // Set-bit density of the payload, in [0, 1].
@@ -806,69 +767,23 @@ double ByteEntropy(const std::string& in) {
 
 }  // namespace
 
-const Codec& PipelineCodec() {
-  static const PipelineCodecImpl impl;
-  return impl;
-}
-
-Status RegisterCodec(const Codec* codec) {
-  if (codec == nullptr) {
-    return Status::Invalid("lossless: null codec");
+const char* CodecName(std::uint8_t id) {
+  if (id < kFirstRegisteredCodecId) {
+    return "pipeline";
   }
-  if (codec->Id() < kFirstRegisteredCodecId) {
-    return Status::Invalid("lossless: codec ids below 0x10 are reserved");
-  }
-  Registry& registry = GetRegistry();
-  std::lock_guard<std::mutex> lock(registry.mu);
-  const Codec* expected = nullptr;
-  if (!registry.by_id[codec->Id()].compare_exchange_strong(expected, codec)) {
-    return Status::Invalid("lossless: codec id already registered");
-  }
-  for (const Codec* c : registry.ordered) {
-    if (std::string(c->Name()) == codec->Name()) {
-      registry.by_id[codec->Id()].store(nullptr);
-      return Status::Invalid("lossless: codec name already registered");
-    }
-  }
-  registry.ordered.push_back(codec);
-  return Status::OK();
-}
-
-const Codec* FindCodec(std::uint8_t id) {
-  return GetRegistry().by_id[id].load(std::memory_order_acquire);
-}
-
-const Codec* FindCodecByName(const std::string& name) {
-  Registry& registry = GetRegistry();
-  std::lock_guard<std::mutex> lock(registry.mu);
-  for (const Codec* c : registry.ordered) {
-    if (name == c->Name()) {
-      return c;
-    }
-  }
-  return nullptr;
-}
-
-std::vector<const Codec*> RegisteredCodecs() {
-  Registry& registry = GetRegistry();
-  std::lock_guard<std::mutex> lock(registry.mu);
-  return registry.ordered;
-}
-
-std::string Compress(const std::string& in) {
-  return PipelineCodec().Compress(in);
+  return id == kRiceCodecId ? "rice" : nullptr;
 }
 
 std::string CompressAuto(const std::string& in) {
   // Tiny payloads: the trials cost more than they can save.
   if (in.size() < 64) {
-    return PipelineCodec().Compress(in);
+    return CompressPipeline(in);
   }
   const double density = BitDensity(in);
   // Sparse planes (either polarity; Rice inverts internally): gap coding
   // wins and the pipeline trials are the expensive part of refactoring.
   if (density < 1.0 / 16.0 || density > 15.0 / 16.0) {
-    return RiceCodec().Compress(in);
+    return internal::RiceEncode(in);
   }
   // Near-random planes (the low-significance half of every level): neither
   // codec can win more than a few percent, so store raw -- a legal
@@ -885,11 +800,11 @@ std::string CompressAuto(const std::string& in) {
   // remainder) on >= B/4 marks -- never beating the pipeline's entropy
   // stage. Skip the Rice trial there.
   if (density >= 0.25 && density <= 0.75) {
-    return PipelineCodec().Compress(in);
+    return CompressPipeline(in);
   }
   // The contested middle: pay for both and keep the smaller container.
-  std::string pipeline = PipelineCodec().Compress(in);
-  std::string rice = RiceCodec().Compress(in);
+  std::string pipeline = CompressPipeline(in);
+  std::string rice = internal::RiceEncode(in);
   return rice.size() < pipeline.size() ? rice : pipeline;
 }
 
@@ -898,22 +813,27 @@ Result<std::string> CompressWith(const std::string& in,
   if (name == "auto") {
     return CompressAuto(in);
   }
-  const Codec* codec = FindCodecByName(name);
-  if (codec == nullptr) {
-    return Status::Invalid("lossless: unknown codec '" + name + "'");
+  if (name == "pipeline") {
+    return CompressPipeline(in);
   }
-  return codec->Compress(in);
+  if (name == "rice") {
+    return internal::RiceEncode(in);
+  }
+  return Status::Invalid("lossless: unknown codec '" + name + "'");
 }
 
 Result<std::string> Decompress(const std::string& in) {
   if (in.empty()) {
     return Status::OutOfRange("lossless: empty container");
   }
-  const Codec* codec = FindCodec(static_cast<unsigned char>(in[0]));
-  if (codec == nullptr) {
-    return Status::Invalid("lossless: unknown codec id");
+  const std::uint8_t id = static_cast<unsigned char>(in[0]);
+  if (id < kFirstRegisteredCodecId) {
+    return DecompressPipeline(in);
   }
-  return codec->Decompress(in);
+  if (id == kRiceCodecId) {
+    return internal::RiceDecode(in);
+  }
+  return Status::Invalid("lossless: unknown codec id");
 }
 
 }  // namespace lossless

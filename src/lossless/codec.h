@@ -2,21 +2,19 @@
 //
 // MGARD compresses encoded bit-planes with ZSTD before they hit storage; the
 // retrieval sizes the paper reports are post-lossless sizes. This module is
-// our from-scratch substitute, organised as a small codec framework:
+// our from-scratch substitute: a fixed coder with a closed set of
+// self-describing containers. The FIRST container byte says how to decode
+// it, so `Decompress` routes any payload without side metadata:
 //
-//   * `Codec` is the interface (Name / Id / Compress / Decompress). Every
-//     codec emits a self-describing container whose FIRST byte is its method
-//     id, so `Decompress` can route any payload without side metadata.
-//   * The legacy RLE/LZ/Huffman pipeline is one codec ("pipeline"). Its
-//     containers predate the registry and use a flags byte in 0x00..0x0F
-//     (optionally 0x08 = chunked), so that whole range is reserved for it
-//     and archives written before the registry existed still decode.
-//   * Registry ids for new codecs start at 0x10. Currently: 0x10 = "rice"
-//     (Golomb/Rice gap coding, see rice.h), tuned for the sparse
-//     high-significance planes where the pipeline's trial stages are both
-//     slow and beaten by plain gap coding.
+//   0x00..0x0F  the RLE/LZ/Huffman pipeline ("pipeline"). The byte is a
+//               flags byte (0x08 = chunked); every container written since
+//               the first release starts with one, so the whole range stays
+//               reserved for it.
+//   0x10        Golomb/Rice gap coding ("rice", see rice.h), tuned for the
+//               sparse high-significance planes where the pipeline's trial
+//               stages are both slow and beaten by plain gap coding.
+//   0x11..0xFF  unassigned; Decompress rejects them.
 //
-// `Compress` keeps its historical behaviour (always the pipeline codec);
 // `CompressAuto` is what the refactorer uses: a density/entropy-gated
 // per-plane choice that routes sparse planes to Rice, incompressible planes
 // to a raw container, and only pays for the full trial in between.
@@ -27,15 +25,14 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "util/status.h"
 
 namespace mgardp {
 namespace lossless {
 
-// First container byte at or above this value names a registered codec;
-// anything below is a legacy pipeline flags byte.
+// First container byte at or above this value is a codec id (0x10 = Rice);
+// anything below is a pipeline flags byte.
 constexpr std::uint8_t kFirstRegisteredCodecId = 0x10;
 
 // The largest decoded size any decoder accepts: size fields and run lengths
@@ -43,42 +40,9 @@ constexpr std::uint8_t kFirstRegisteredCodecId = 0x10;
 // allocation, so a corrupt or hostile header fails with a Status.
 constexpr std::uint64_t kMaxRawSize = std::uint64_t{1} << 30;
 
-// A self-describing lossless codec. Compress returns a container whose
-// first byte identifies the codec (its Id, or a legacy flags byte for the
-// pipeline codec); Decompress consumes exactly such a container. Output of
-// Compress must always round-trip, for every input, and should degrade to
-// a raw store (small constant overhead) rather than expand meaningfully on
-// incompressible data.
-class Codec {
- public:
-  virtual ~Codec() = default;
-  virtual const char* Name() const = 0;
-  // The id byte this codec's containers start with. The pipeline codec
-  // reports 0x00 but owns the whole legacy range 0x00..0x0F.
-  virtual std::uint8_t Id() const = 0;
-  virtual std::string Compress(const std::string& in) const = 0;
-  virtual Result<std::string> Decompress(const std::string& in) const = 0;
-};
-
-// Registry. Built-in codecs (pipeline, rice) are always present; Register
-// adds an external codec whose Id() must be >= kFirstRegisteredCodecId and
-// unclaimed. Lookups return nullptr when nothing matches. All functions are
-// thread-safe; registration is expected at startup, before compression
-// traffic.
-Status RegisterCodec(const Codec* codec);
-const Codec* FindCodec(std::uint8_t id);
-const Codec* FindCodecByName(const std::string& name);
-// All registered codecs (pipeline first), for CLI listings and tests.
-std::vector<const Codec*> RegisteredCodecs();
-
-// The two built-ins.
-const Codec& PipelineCodec();
-const Codec& RiceCodec();  // defined in rice.cc
-
-// Compresses `in` with the legacy pipeline codec; output always
-// decompresses back to `in` exactly. (Kept for call sites that want
-// deterministic legacy bytes, e.g. back-compat fixtures.)
-std::string Compress(const std::string& in);
+// The codec name of a container's first byte: "pipeline" for 0x00..0x0F,
+// "rice" for 0x10, nullptr for any other byte.
+const char* CodecName(std::uint8_t id);
 
 // Per-plane codec choice, the refactorer's default path. Gates on cheap
 // statistics before paying for trials:
@@ -92,14 +56,14 @@ std::string Compress(const std::string& in);
 //     container.
 std::string CompressAuto(const std::string& in);
 
-// Compresses with the codec registered under `name`, or with the auto
-// policy when `name` is "auto". Fails on unknown names.
+// Compresses with the codec `name` ("pipeline" or "rice"), or with the
+// auto policy when `name` is "auto". Fails on any other name. Output
+// always decompresses back to `in` exactly.
 Result<std::string> CompressWith(const std::string& in,
                                  const std::string& name);
 
-// Inverse of any codec's Compress: routes on the container's first byte
-// (legacy flags or registered codec id). Fails on corrupt or truncated
-// input and on unregistered ids.
+// Inverse of every Compress* function: routes on the container's first
+// byte. Fails on corrupt or truncated input and on unassigned ids.
 Result<std::string> Decompress(const std::string& in);
 
 // Exposed for unit tests: the pipeline codec's individual stages.

@@ -22,17 +22,27 @@
 //
 // The encoder always compares against the raw fallback and emits whichever
 // is smaller, so output never exceeds input by more than the few header
-// bytes, for any input. Access the codec via lossless::RiceCodec().
+// bytes, for any input. Callers reach it through lossless::CompressWith(in,
+// "rice"), CompressAuto and Decompress (codec.h).
 
 #ifndef MGARDP_LOSSLESS_RICE_H_
 #define MGARDP_LOSSLESS_RICE_H_
 
 #include <cstdint>
+#include <string>
+
+#include "util/status.h"
 
 namespace mgardp {
 namespace lossless {
 
 constexpr std::uint8_t kRiceCodecId = 0x10;
+
+namespace internal {
+// The Rice container's encoder and decoder; codec.h routes to them.
+std::string RiceEncode(const std::string& in);
+Result<std::string> RiceDecode(const std::string& in);
+}  // namespace internal
 
 }  // namespace lossless
 }  // namespace mgardp

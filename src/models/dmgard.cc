@@ -137,87 +137,38 @@ double DMgardModel::RoundClamp(double raw) const {
                     static_cast<double>(config_.num_planes));
 }
 
-Result<std::vector<std::vector<double>>> DMgardModel::PredictRawBatch(
-    const std::vector<BatchRequest>& requests) const {
-  if (models_.empty()) {
-    return Status::FailedPrecondition("D-MGARD: model not trained");
-  }
-  const int L = num_levels();
-  const std::size_t n = requests.size();
-  for (const BatchRequest& req : requests) {
-    if (req.features == nullptr || req.sketches == nullptr) {
-      return Status::Invalid("D-MGARD: batch request missing inputs");
-    }
-    if (static_cast<int>(req.features->size()) != kNumDataFeatures) {
-      return Status::Invalid("D-MGARD: wrong feature count");
-    }
-    if (static_cast<int>(req.sketches->size()) < L) {
-      return Status::Invalid("D-MGARD: missing level sketches");
-    }
-  }
-  std::vector<std::vector<double>> raw(n, std::vector<double>(L, 0.0));
-  // Per-request chain state; every request walks the levels in lockstep so
-  // level l is ONE n-row forward pass. Row independence of the scaler and
-  // network math makes each row bit-identical to a batch of one.
-  std::vector<std::vector<double>> chains(n, std::vector<double>(L, 0.0));
-  for (int level = 0; level < L; ++level) {
-    const std::size_t dim = InputDim(config_, level);
-    dnn::Matrix x(n, dim);
-    for (std::size_t r = 0; r < n; ++r) {
-      const std::vector<double> in =
-          LevelInput(level, *requests[r].features, *requests[r].sketches,
-                     requests[r].target_abs_error, chains[r]);
-      MGARDP_CHECK_EQ(in.size(), dim);
-      for (std::size_t c = 0; c < dim; ++c) {
-        x(r, c) = in[c];
-      }
-    }
-    MGARDP_ASSIGN_OR_RETURN(dnn::Matrix xs, scalers_[level].Transform(x));
-    const dnn::Matrix out = models_[level].Predict(xs);
-    for (std::size_t r = 0; r < n; ++r) {
-      MGARDP_ASSIGN_OR_RETURN(
-          raw[r][level],
-          target_scalers_[level].InverseTransformValue(0, out(r, 0)));
-      // Chained inference feeds the *rounded* prediction forward, matching
-      // how the retrieval side will use it (Fig. 6b).
-      chains[r][level] = RoundClamp(raw[r][level]);
-    }
-  }
-  return raw;
-}
-
-Result<std::vector<std::vector<int>>> DMgardModel::PredictBatch(
-    const std::vector<BatchRequest>& requests) const {
-  MGARDP_ASSIGN_OR_RETURN(std::vector<std::vector<double>> raw,
-                          PredictRawBatch(requests));
-  std::vector<std::vector<int>> counts(raw.size());
-  for (std::size_t r = 0; r < raw.size(); ++r) {
-    counts[r].resize(raw[r].size());
-    for (std::size_t l = 0; l < raw[r].size(); ++l) {
-      counts[r][l] = static_cast<int>(RoundClamp(raw[r][l]));
-    }
-  }
-  return counts;
-}
-
-Result<std::vector<double>> DMgardModel::PredictRaw(
-    const std::vector<double>& features,
-    const std::vector<std::vector<double>>& sketches,
-    double target_abs_error) const {
-  MGARDP_ASSIGN_OR_RETURN(
-      std::vector<std::vector<double>> raw,
-      PredictRawBatch({BatchRequest{&features, &sketches, target_abs_error}}));
-  return std::move(raw.front());
-}
-
 Result<std::vector<int>> DMgardModel::Predict(
     const std::vector<double>& features,
     const std::vector<std::vector<double>>& sketches,
     double target_abs_error) const {
-  MGARDP_ASSIGN_OR_RETURN(
-      std::vector<std::vector<int>> counts,
-      PredictBatch({BatchRequest{&features, &sketches, target_abs_error}}));
-  return std::move(counts.front());
+  if (models_.empty()) {
+    return Status::FailedPrecondition("D-MGARD: model not trained");
+  }
+  const int L = num_levels();
+  if (static_cast<int>(features.size()) != kNumDataFeatures) {
+    return Status::Invalid("D-MGARD: wrong feature count");
+  }
+  if (static_cast<int>(sketches.size()) < L) {
+    return Status::Invalid("D-MGARD: missing level sketches");
+  }
+  // chain[l] holds level l's rounded count once its network has run.
+  std::vector<double> chain(L, 0.0);
+  for (int level = 0; level < L; ++level) {
+    std::vector<double> in =
+        LevelInput(level, features, sketches, target_abs_error, chain);
+    const std::size_t dim = in.size();
+    MGARDP_ASSIGN_OR_RETURN(
+        dnn::Matrix xs,
+        scalers_[level].Transform(dnn::Matrix(1, dim, std::move(in))));
+    MGARDP_ASSIGN_OR_RETURN(
+        const double raw,
+        target_scalers_[level].InverseTransformValue(
+            0, models_[level].Predict(xs)(0, 0)));
+    // Chained inference feeds the *rounded* prediction forward, matching
+    // how the retrieval side will use it (Fig. 6b).
+    chain[level] = RoundClamp(raw);
+  }
+  return std::vector<int>(chain.begin(), chain.end());
 }
 
 std::string DMgardModel::Serialize() const {

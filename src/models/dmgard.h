@@ -34,7 +34,6 @@ struct DMgardConfig {
                          .batch_size = 256,
                          .learning_rate = 5e-5,
                          .loss = "huber",
-                         .optimizer = "adam",
                          .seed = 11};
 };
 
@@ -62,32 +61,6 @@ class DMgardModel {
       const std::vector<std::vector<double>>& sketches,
       double target_abs_error) const;
 
-  // Raw (unrounded) model outputs, for prediction-error analysis.
-  Result<std::vector<double>> PredictRaw(
-      const std::vector<double>& features,
-      const std::vector<std::vector<double>>& sketches,
-      double target_abs_error) const;
-
-  // One independent prediction request; the pointees must outlive the
-  // batch call. Requests may come from unrelated retrieval sessions.
-  struct BatchRequest {
-    const std::vector<double>* features = nullptr;
-    const std::vector<std::vector<double>>* sketches = nullptr;
-    double target_abs_error = 0.0;
-  };
-
-  // Batched chained inference: all requests advance through the level
-  // chain together, so each level runs ONE multi-row forward pass instead
-  // of one tiny pass per request. Row r of the result is bit-identical to
-  // Predict/PredictRaw on request r alone (the scaler and network math are
-  // row-independent). Predict/PredictRaw are the batch-of-one wrappers —
-  // there is a single chained loop, so the rounding/clamping fed forward
-  // through the chain cannot drift between paths.
-  Result<std::vector<std::vector<int>>> PredictBatch(
-      const std::vector<BatchRequest>& requests) const;
-  Result<std::vector<std::vector<double>>> PredictRawBatch(
-      const std::vector<BatchRequest>& requests) const;
-
   // Weight round-trip.
   std::string Serialize() const;
   static Result<DMgardModel> Deserialize(const std::string& in);
@@ -105,7 +78,7 @@ class DMgardModel {
   std::vector<dnn::Mlp> models_;
 
   // The one rounding/clamping rule: raw output -> plane count, used for
-  // both the chain feed-forward and the final Predict results.
+  // both the chain feed-forward and the Predict result.
   double RoundClamp(double raw) const;
 
   std::vector<double> LevelInput(int level,

@@ -41,7 +41,6 @@ struct EMgardConfig {
                          .batch_size = 16,
                          .learning_rate = 1e-5,
                          .loss = "huber",
-                         .optimizer = "adam",
                          .seed = 23};
 };
 

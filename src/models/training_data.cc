@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <map>
 #include <sstream>
 
@@ -139,31 +138,6 @@ Result<std::vector<RetrievalRecord>> CollectRecords(
     }
   }
   return records;
-}
-
-Status WriteRecordsCsv(const std::vector<RetrievalRecord>& records,
-                       const std::string& path) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    return Status::IOError("cannot open " + path);
-  }
-  const int L =
-      records.empty() ? 0 : static_cast<int>(records.front().bitplanes.size());
-  out << "timestep,requested_rel,requested_abs,achieved,estimated,bytes";
-  for (int l = 0; l < L; ++l) {
-    out << ",b" << l;
-  }
-  out << "\n";
-  for (const RetrievalRecord& r : records) {
-    out << r.timestep << "," << r.requested_rel_error << ","
-        << r.requested_abs_error << "," << r.achieved_error << ","
-        << r.estimated_error << "," << r.total_bytes;
-    for (int b : r.bitplanes) {
-      out << "," << b;
-    }
-    out << "\n";
-  }
-  return Status::OK();
 }
 
 }  // namespace mgardp

@@ -61,10 +61,6 @@ Result<std::vector<RetrievalRecord>> CollectRecords(
     const FieldSeries& series, const std::vector<int>& timesteps,
     const CollectOptions& options = {});
 
-// Writes records as CSV (one row per record, bitplanes as b0..b{L-1}).
-Status WriteRecordsCsv(const std::vector<RetrievalRecord>& records,
-                       const std::string& path);
-
 }  // namespace mgardp
 
 #endif  // MGARDP_MODELS_TRAINING_DATA_H_

@@ -364,10 +364,8 @@ Result<Array3Dd> Reconstructor::Retrieve(const RefactoredField& field,
     *plan_out = plan;
   }
   MGARDP_ASSIGN_OR_RETURN(Array3Dd data, Reconstruct(field, plan));
-  const std::string model =
-      model_id_.empty() ? AuditModelId(estimator_->name()) : model_id_;
-  AuditRetrieval(field, model, error_bound, plan, truth_, &data,
-                 /*degraded=*/false, auditor_);
+  AuditRetrieval(field, AuditModelId(estimator_->name()), error_bound, plan,
+                 truth_, &data, /*degraded=*/false, auditor_);
   return data;
 }
 

@@ -82,15 +82,11 @@ class Reconstructor {
   void set_ground_truth(const Array3Dd* truth) { truth_ = truth; }
   // nullptr routes to GlobalAuditor(); pass a local auditor in tests.
   void set_auditor(obs::ErrorControlAuditor* auditor) { auditor_ = auditor; }
-  // Overrides the model id derived from the estimator name (see
-  // AuditModelId), e.g. "hybrid" when the plan came from PlanHybrid.
-  void set_model_id(std::string model_id) { model_id_ = std::move(model_id); }
 
  private:
   const ErrorEstimator* estimator_;
   const Array3Dd* truth_ = nullptr;
   obs::ErrorControlAuditor* auditor_ = nullptr;
-  std::string model_id_;
 };
 
 // Decode + recompose for an explicit prefix, independent of any estimator.

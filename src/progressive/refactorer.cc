@@ -7,6 +7,7 @@
 #include "decompose/interleaver.h"
 #include "encode/bitplane.h"
 #include "lossless/codec.h"
+#include "lossless/rice.h"
 #include "obs/tracer.h"
 #include "progressive/padding.h"
 #include "util/parallel.h"
@@ -21,9 +22,10 @@ Result<RefactoredField> Refactorer::Refactor(Array3Dd data) const {
   if (options_.sketch_bins < 1) {
     return Status::Invalid("sketch_bins must be >= 1");
   }
-  if (options_.codec != "auto" &&
-      lossless::FindCodecByName(options_.codec) == nullptr) {
-    return Status::Invalid("unknown lossless codec '" + options_.codec + "'");
+  const std::string& codec = options_.codec;
+  if (codec != "auto" && codec != lossless::CodecName(0) &&
+      codec != lossless::CodecName(lossless::kRiceCodecId)) {
+    return Status::Invalid("unknown lossless codec '" + codec + "'");
   }
   // Pad arbitrary extents to the next 2^k + 1 (edge replication); the
   // original extents travel in the metadata and reconstruction crops back.

@@ -22,9 +22,9 @@ struct RefactorOptions {
   bool use_correction = true;
   // Bins in the per-level |coefficient| quantile sketch (E-MGARD input).
   int sketch_bins = 32;
-  // Lossless codec per plane: a registered codec name ("pipeline", "rice")
-  // or "auto" to pick per plane by density/entropy gates and trial size
-  // (see lossless::CompressAuto). Retrieval is unaffected by the choice --
+  // Lossless codec per plane: "pipeline", "rice", or "auto" to pick per
+  // plane by density/entropy gates and trial size (see
+  // lossless::CompressAuto). Retrieval is unaffected by the choice --
   // containers are self-describing.
   std::string codec = "auto";
 };

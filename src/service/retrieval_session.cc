@@ -95,14 +95,6 @@ Result<const Array3Dd*> RetrievalSession::Refine(double error_bound,
     return &*data_;
   }
 
-  // Pin the model version for this session's lifetime on first use; later
-  // hot swaps in the registry do not affect an in-flight session.
-  if (estimator_provider_ && lease_.estimator == nullptr) {
-    lease_ = estimator_provider_();
-  }
-  const ErrorEstimator* estimator =
-      lease_.estimator != nullptr ? lease_.estimator.get() : estimator_;
-
   const int L = field_->num_levels();
   const std::vector<int> held_before = held_;
   // Planes per level still believed live; a loss caps its level.
@@ -116,8 +108,8 @@ Result<const Array3Dd*> RetrievalSession::Refine(double error_bound,
   for (;;) {
     {
       MGARDP_TRACE_SPAN("session/plan", "service");
-      MGARDP_ASSIGN_OR_RETURN(
-          plan, PlanConstrained(*field_, *estimator, error_bound, start, caps));
+      MGARDP_ASSIGN_OR_RETURN(plan, PlanConstrained(*field_, *estimator_,
+                                                    error_bound, start, caps));
     }
     if (FetchPlanned(plan.prefix, retry, &caps, &ref)) {
       data = ReconstructFromSegments(*field_, local_, plan.prefix);
@@ -160,11 +152,8 @@ Result<const Array3Dd*> RetrievalSession::Refine(double error_bound,
   audited.prefix = have_;
   audited.total_bytes = sizes.TotalBytes(have_);
   audited.estimated_error = estimate_;
-  const std::string audit_id = !lease_.audit_model_id.empty()
-                                   ? lease_.audit_model_id
-                                   : AuditModelId(estimator->name());
-  AuditRetrieval(*field_, audit_id, error_bound, audited, truth_, &*data_,
-                 ref.degraded, auditor_);
+  AuditRetrieval(*field_, AuditModelId(estimator_->name()), error_bound,
+                 audited, truth_, &*data_, ref.degraded, auditor_);
   if (metrics_ != nullptr) {
     metrics_->OnPlanesFetched(ref.planes_fetched, ref.fetched_bytes);
     metrics_->OnPlanesReused(ref.planes_reused + ref.planes_cached,
@@ -257,11 +246,6 @@ void RetrievalSession::set_ground_truth(const Array3Dd* truth) {
 void RetrievalSession::set_auditor(obs::ErrorControlAuditor* auditor) {
   std::lock_guard<std::mutex> lock(mu_);
   auditor_ = auditor;
-}
-
-void RetrievalSession::set_estimator_provider(EstimatorProvider provider) {
-  std::lock_guard<std::mutex> lock(mu_);
-  estimator_provider_ = std::move(provider);
 }
 
 std::vector<int> RetrievalSession::prefix() const {

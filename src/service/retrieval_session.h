@@ -41,8 +41,6 @@
 #ifndef MGARDP_SERVICE_RETRIEVAL_SESSION_H_
 #define MGARDP_SERVICE_RETRIEVAL_SESSION_H_
 
-#include <functional>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -59,21 +57,6 @@
 #include "util/status.h"
 
 namespace mgardp {
-
-// A lease on an error estimator, handed out by a model registry (or any
-// other source of hot-swappable models). The shared_ptr is the epoch: for
-// as long as the session holds it, the backing model version stays alive
-// even if a newer one is published mid-flight. `audit_model_id` attributes
-// this session's audit records to the concrete version (e.g. "emgard@v3");
-// when empty, the estimator's own name is used.
-struct EstimatorLease {
-  std::shared_ptr<const ErrorEstimator> estimator;
-  std::string audit_model_id;
-};
-
-// Called once per session, at its first refinement, to pin the estimator
-// the whole session will use. Must be safe to call from any thread.
-using EstimatorProvider = std::function<EstimatorLease()>;
 
 // One segment a refinement gave up on, and why.
 struct SkippedSegment {
@@ -154,13 +137,6 @@ class RetrievalSession {
   void set_ground_truth(const Array3Dd* truth);
   void set_auditor(obs::ErrorControlAuditor* auditor);
 
-  // Hot-swappable model wiring. When set (before the first Refine), the
-  // session pins a lease at its first non-noop refinement and keeps
-  // planning with that model version for its whole life — the hot-swap
-  // contract that in-flight sessions finish on the version they started
-  // with. A lease with a null estimator falls back to the constructor's.
-  void set_estimator_provider(EstimatorProvider provider);
-
   // Snapshot accessors (take the session lock).
   std::vector<int> prefix() const;
   double estimated_error() const;       // +inf before the first Refine
@@ -189,8 +165,6 @@ class RetrievalSession {
   mutable std::mutex mu_;
   const Array3Dd* truth_ = nullptr;           // guarded by mu_
   obs::ErrorControlAuditor* auditor_ = nullptr;  // guarded by mu_
-  EstimatorProvider estimator_provider_;      // guarded by mu_
-  EstimatorLease lease_;                      // pinned at first Refine
   std::vector<int> have_;          // prefix of data_
   std::vector<int> held_;          // planes in local_ per level (>= have_)
   bool degraded_ = false;          // have_ is capped around lost segments

@@ -51,8 +51,6 @@ void FaultInjectingBackend::ClearFault(int level, int plane) {
   rules_.erase({level, plane});
 }
 
-void FaultInjectingBackend::ClearFaults() { rules_.clear(); }
-
 void FaultInjectingBackend::set_sleep(std::function<void(double)> sleep) {
   sleep_ = std::move(sleep);
 }

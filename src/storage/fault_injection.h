@@ -81,7 +81,6 @@ class FaultInjectingBackend : public StorageBackend {
 
   void SetFault(int level, int plane, FaultRule rule);
   void ClearFault(int level, int plane);
-  void ClearFaults();
 
   // Replaces the latency sink. Default records without sleeping.
   void set_sleep(std::function<void(double)> sleep);

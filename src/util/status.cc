@@ -12,14 +12,10 @@ const char* StatusCodeToString(StatusCode code) {
       return "Out of range";
     case StatusCode::kNotFound:
       return "Not found";
-    case StatusCode::kAlreadyExists:
-      return "Already exists";
     case StatusCode::kIOError:
       return "IO error";
     case StatusCode::kFailedPrecondition:
       return "Failed precondition";
-    case StatusCode::kUnimplemented:
-      return "Unimplemented";
     case StatusCode::kInternal:
       return "Internal";
     case StatusCode::kDataLoss:

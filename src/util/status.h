@@ -23,10 +23,8 @@ enum class StatusCode {
   kInvalidArgument,
   kOutOfRange,
   kNotFound,
-  kAlreadyExists,
   kIOError,
   kFailedPrecondition,
-  kUnimplemented,
   kInternal,
   kDataLoss,
   kOverloaded,
@@ -53,17 +51,11 @@ class Status {
   static Status NotFound(std::string msg) {
     return Status(StatusCode::kNotFound, std::move(msg));
   }
-  static Status AlreadyExists(std::string msg) {
-    return Status(StatusCode::kAlreadyExists, std::move(msg));
-  }
   static Status IOError(std::string msg) {
     return Status(StatusCode::kIOError, std::move(msg));
   }
   static Status FailedPrecondition(std::string msg) {
     return Status(StatusCode::kFailedPrecondition, std::move(msg));
-  }
-  static Status Unimplemented(std::string msg) {
-    return Status(StatusCode::kUnimplemented, std::move(msg));
   }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));

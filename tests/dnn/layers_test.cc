@@ -127,73 +127,6 @@ TEST(LeakyReluTest, ZeroSlopeIsPlainRelu) {
   EXPECT_DOUBLE_EQ(y(0, 1), 5.0);
 }
 
-TEST(LayerTest, Kinds) {
-  Linear lin(1, 1);
-  LeakyRelu relu;
-  EXPECT_EQ(lin.Kind(), "linear");
-  EXPECT_EQ(relu.Kind(), "leaky_relu");
-  Rng rng(1);
-  Dropout drop(0.5, &rng);
-  EXPECT_EQ(drop.Kind(), "dropout");
-}
-
-TEST(DropoutTest, IdentityOutsideTraining) {
-  Rng rng(2);
-  Dropout drop(0.5, &rng);
-  Matrix x(2, 3, {1, 2, 3, 4, 5, 6});
-  Matrix y = drop.Forward(x);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    EXPECT_EQ(y.vector()[i], x.vector()[i]);
-  }
-  // Backward is a pass-through too.
-  Matrix g(2, 3, 1.0);
-  Matrix gx = drop.Backward(g);
-  for (double v : gx.vector()) {
-    EXPECT_EQ(v, 1.0);
-  }
-}
-
-TEST(DropoutTest, TrainingZerosAndRescales) {
-  Rng rng(3);
-  Dropout drop(0.5, &rng);
-  drop.SetTraining(true);
-  Matrix x(100, 10, 1.0);
-  Matrix y = drop.Forward(x);
-  int zeros = 0, scaled = 0;
-  for (double v : y.vector()) {
-    if (v == 0.0) {
-      ++zeros;
-    } else {
-      EXPECT_DOUBLE_EQ(v, 2.0);  // 1 / (1 - 0.5)
-      ++scaled;
-    }
-  }
-  // Roughly half dropped.
-  EXPECT_NEAR(zeros, 500, 100);
-  EXPECT_NEAR(scaled, 500, 100);
-  // Expected value preserved: mean of y ~ mean of x.
-  double mean = 0;
-  for (double v : y.vector()) {
-    mean += v;
-  }
-  mean /= y.size();
-  EXPECT_NEAR(mean, 1.0, 0.1);
-}
-
-TEST(DropoutTest, BackwardUsesSameMask) {
-  Rng rng(4);
-  Dropout drop(0.3, &rng);
-  drop.SetTraining(true);
-  Matrix x(1, 100, 1.0);
-  Matrix y = drop.Forward(x);
-  Matrix g(1, 100, 1.0);
-  Matrix gx = drop.Backward(g);
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    // Gradient flows exactly where the activation survived.
-    EXPECT_DOUBLE_EQ(gx.vector()[i], y.vector()[i]);
-  }
-}
-
 }  // namespace
 }  // namespace dnn
 }  // namespace mgardp

@@ -23,10 +23,8 @@
 #include "obs/audit.h"
 #include "progressive/reconstructor.h"
 #include "progressive/refactorer.h"
-#include "service/retrieval_session.h"
 #include "service/service_metrics.h"
 #include "sim/dataset.h"
-#include "storage/storage_backend.h"
 #include "util/stats.h"
 
 namespace mgardp {
@@ -296,66 +294,6 @@ TEST_F(RetrainLoopTest, WatermarkTriggersRefitWithoutDrift) {
   EXPECT_GE(harness.trainer_.retrains(), 1u);
   // Watermark resets after the refit: another one only after 64 more rows.
   EXPECT_FALSE(harness.trainer_.ShouldTrain());
-}
-
-TEST_F(RetrainLoopTest, SessionsPinVersionAcrossHotSwap) {
-  // The serving adapter + session wiring: audit records attribute to the
-  // version a session pinned at its first refinement, and a hot swap only
-  // affects sessions that start after it. (E-MGARD, since sessions plan
-  // through an ErrorEstimator.)
-  CollectOptions copts;
-  copts.rel_bounds = SubsampledRelativeErrorBounds(1);
-  FieldSeries series;
-  series.frames = smooth_->truths;
-  auto records = CollectRecords(series, {0, 1, 2}, copts);
-  ASSERT_TRUE(records.ok());
-  EMgardConfig config;
-  config.train.epochs = 4;
-  auto model = EMgardModel::TrainModel(records.value(), config);
-  ASSERT_TRUE(model.ok());
-  const std::string blob = model.value().Serialize();
-
-  ModelRegistry registry;
-  ASSERT_TRUE(registry.Publish("emgard", blob).ok());
-  ASSERT_TRUE(registry.Promote("emgard", 1).ok());
-
-  const EstimatorProvider provider =
-      MakeRegistryEstimatorProvider(&registry, "emgard");
-  const EstimatorLease lease = provider();
-  ASSERT_NE(lease.estimator, nullptr);
-  EXPECT_EQ(lease.estimator->name(), "e-mgard@v1");
-  EXPECT_EQ(lease.audit_model_id, "emgard@v1");
-
-  const RefactoredField& field = smooth_->fields[0];
-  const Array3Dd& truth = smooth_->truths[0];
-  obs::ErrorControlAuditor auditor;
-  MemoryBackend backend(&field.segments);
-  TheoryEstimator fallback;
-  const double bound = 1e-3 * field.data_summary.range();
-
-  RetrievalSession first("f", &field, &backend, &fallback);
-  first.set_estimator_provider(provider);
-  first.set_ground_truth(&truth);
-  first.set_auditor(&auditor);
-  ASSERT_TRUE(first.Refine(bound).ok());
-
-  // Hot swap to v2 mid-flight.
-  ASSERT_TRUE(registry.Publish("emgard", blob).ok());
-  ASSERT_TRUE(registry.Promote("emgard", 2).ok());
-
-  // The in-flight session keeps refining on v1; a fresh session gets v2.
-  ASSERT_TRUE(first.Refine(bound / 4).ok());
-  RetrievalSession second("f", &field, &backend, &fallback);
-  second.set_estimator_provider(provider);
-  second.set_ground_truth(&truth);
-  second.set_auditor(&auditor);
-  ASSERT_TRUE(second.Refine(bound).ok());
-
-  std::vector<std::string> audited;
-  for (const auto& m : auditor.snapshot().models) {
-    audited.push_back(m.model);
-  }
-  EXPECT_EQ(audited, (std::vector<std::string>{"emgard@v1", "emgard@v2"}));
 }
 
 }  // namespace

@@ -1,13 +1,10 @@
 // TrainingSetCollector: audit-record conversion, reservoir bounds and
-// determinism, model-id normalization, and the snapshot container's
-// corruption contract (every flipped byte loads back as kDataLoss).
+// determinism, and model-id normalization.
 
 #include "learning/training_set.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cstdio>
 #include <limits>
 #include <string>
 #include <vector>
@@ -32,10 +29,6 @@ obs::AuditRecord ExampleRecord(const std::string& model, int levels,
   r.level_errors.assign(levels, 0.25);
   r.sketches.assign(levels, std::vector<double>{1.0, 0.5, 0.25});
   return r;
-}
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
 }
 
 TEST(BaseModelIdTest, StripsOnlyRealVersionSuffixes) {
@@ -146,73 +139,6 @@ TEST(TrainingSetCollectorTest, BucketsByLevelCountAndServesLargest) {
   const std::vector<RetrievalRecord> rows = collector.Rows("dmgard");
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[0].bitplanes.size(), 5u);
-}
-
-TEST(TrainingSetSnapshotTest, RoundTripsRows) {
-  TrainingSetCollector collector;
-  for (int i = 0; i < 5; ++i) {
-    collector.OnRecord(ExampleRecord("emgard@v1", 4, 0.2 + i * 0.1));
-  }
-  const std::string path = TempPath("snapshot_roundtrip.mpts");
-  ASSERT_TRUE(collector.SaveSnapshot(path, "emgard").ok());
-
-  std::string model;
-  auto loaded = TrainingSetCollector::LoadSnapshot(path, &model);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(model, "emgard");
-  const std::vector<RetrievalRecord> original = collector.Rows("emgard");
-  ASSERT_EQ(loaded.value().size(), original.size());
-  for (std::size_t i = 0; i < original.size(); ++i) {
-    EXPECT_EQ(loaded.value()[i].timestep, original[i].timestep);
-    EXPECT_DOUBLE_EQ(loaded.value()[i].achieved_error,
-                     original[i].achieved_error);
-    EXPECT_EQ(loaded.value()[i].bitplanes, original[i].bitplanes);
-    EXPECT_EQ(loaded.value()[i].sketches, original[i].sketches);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(TrainingSetSnapshotTest, EveryFlippedByteIsDataLoss) {
-  TrainingSetCollector collector;
-  collector.OnRecord(ExampleRecord("dmgard", 3));
-  const std::string bytes =
-      SerializeTrainingSet("dmgard", collector.Rows("dmgard"));
-  ASSERT_TRUE(ParseTrainingSet(bytes).ok());
-
-  // Flip one byte at a sweep of offsets (body, header, and trailer): the
-  // CRC trailer must catch all of them as kDataLoss, never a crash or a
-  // silently different training set.
-  for (std::size_t pos = 0; pos < bytes.size();
-       pos += std::max<std::size_t>(1, bytes.size() / 64)) {
-    std::string corrupt = bytes;
-    corrupt[pos] = static_cast<char>(corrupt[pos] ^ 0x40);
-    auto parsed = ParseTrainingSet(corrupt);
-    ASSERT_FALSE(parsed.ok()) << "offset " << pos;
-    EXPECT_EQ(parsed.status().code(), StatusCode::kDataLoss)
-        << "offset " << pos << ": " << parsed.status().ToString();
-  }
-}
-
-TEST(TrainingSetSnapshotTest, TruncationAndTrailingBytesAreDataLoss) {
-  TrainingSetCollector collector;
-  collector.OnRecord(ExampleRecord("dmgard", 3));
-  const std::string bytes =
-      SerializeTrainingSet("dmgard", collector.Rows("dmgard"));
-
-  auto truncated = ParseTrainingSet(bytes.substr(0, bytes.size() / 2));
-  ASSERT_FALSE(truncated.ok());
-  EXPECT_EQ(truncated.status().code(), StatusCode::kDataLoss);
-
-  auto tiny = ParseTrainingSet("xy");
-  ASSERT_FALSE(tiny.ok());
-  EXPECT_EQ(tiny.status().code(), StatusCode::kDataLoss);
-}
-
-TEST(TrainingSetSnapshotTest, MissingFileIsNotDataLoss) {
-  auto missing =
-      TrainingSetCollector::LoadSnapshot(TempPath("does_not_exist.mpts"));
-  ASSERT_FALSE(missing.ok());
-  EXPECT_NE(missing.status().code(), StatusCode::kDataLoss);
 }
 
 }  // namespace

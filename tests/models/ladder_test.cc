@@ -43,12 +43,11 @@ TEST(LadderTest, DMgardIgnoresLadderRows) {
   auto b = DMgardModel::TrainModel(without, config);
   ASSERT_TRUE(a.ok() && b.ok());
   const auto& rec = without.front();
-  auto pa = a.value().PredictRaw(rec.features, rec.sketches, 1e-4);
-  auto pb = b.value().PredictRaw(rec.features, rec.sketches, 1e-4);
+  EXPECT_EQ(a.value().Serialize(), b.value().Serialize());
+  auto pa = a.value().Predict(rec.features, rec.sketches, 1e-4);
+  auto pb = b.value().Predict(rec.features, rec.sketches, 1e-4);
   ASSERT_TRUE(pa.ok() && pb.ok());
-  for (std::size_t l = 0; l < pa.value().size(); ++l) {
-    EXPECT_DOUBLE_EQ(pa.value()[l], pb.value()[l]);
-  }
+  EXPECT_EQ(pa.value(), pb.value());
 }
 
 TEST(LadderTest, DMgardRefusesLadderOnlyRecords) {

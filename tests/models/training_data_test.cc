@@ -3,9 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
-
 namespace mgardp {
 namespace {
 
@@ -98,25 +95,6 @@ TEST_F(CollectTest, OverPessimismIsVisible) {
     }
   }
   EXPECT_GT(big_gap, static_cast<int>(records_.size() / 2));
-}
-
-TEST_F(CollectTest, CsvExport) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "mgardp_records.csv")
-          .string();
-  ASSERT_TRUE(WriteRecordsCsv(records_, path).ok());
-  std::ifstream in(path);
-  std::string header;
-  std::getline(in, header);
-  EXPECT_NE(header.find("achieved"), std::string::npos);
-  EXPECT_NE(header.find("b4"), std::string::npos);
-  std::size_t lines = 0;
-  std::string line;
-  while (std::getline(in, line)) {
-    ++lines;
-  }
-  EXPECT_EQ(lines, records_.size());
-  std::filesystem::remove(path);
 }
 
 TEST(CollectLadderTest, LadderRowsCoverShallowAndDeepStates) {

@@ -1,7 +1,7 @@
-// Codec-id / container-version compatibility: archives written before the
-// codec registry existed (v2 index, legacy pipeline payloads) and before
-// checksums existed (v1) must keep loading and decoding; v3 containers must
-// record per-segment codec ids that survive a round trip.
+// Codec-id / container-version compatibility: archives written before codec
+// ids were recorded (v2 index, pipeline payloads) and before checksums
+// existed (v1) must keep loading and decoding; v3 containers must record
+// per-segment codec ids that survive a round trip.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -54,7 +54,8 @@ TEST(ContainerCompatTest, PreRegistryV2ArchiveStillDecodes) {
   // (its container byte is a flags value below 0x10).
   const std::string dir = TempDir("mgardp_compat_v2");
   const std::string plane_bits(4096, '\x11');
-  const std::string payload = lossless::Compress(plane_bits);
+  const std::string payload =
+      lossless::CompressWith(plane_bits, "pipeline").value();
   ASSERT_LT(static_cast<unsigned char>(payload[0]),
             lossless::kFirstRegisteredCodecId);
   WriteV2Container(dir, 2, 7, payload);
@@ -70,14 +71,14 @@ TEST(ContainerCompatTest, PreRegistryV2ArchiveStillDecodes) {
   // the pipeline codec.
   EXPECT_EQ(store.value().CodecOf(2, 7),
             static_cast<unsigned char>(payload[0]));
-  EXPECT_STREQ(
-      lossless::FindCodec(store.value().CodecOf(2, 7))->Name(), "pipeline");
+  EXPECT_STREQ(lossless::CodecName(store.value().CodecOf(2, 7)), "pipeline");
   fs::remove_all(dir);
 }
 
 TEST(ContainerCompatTest, V1ArchiveStillDecodes) {
   const std::string dir = TempDir("mgardp_compat_v1");
-  const std::string payload = lossless::Compress(std::string(512, '\x0F'));
+  const std::string payload =
+      lossless::CompressWith(std::string(512, '\x0F'), "pipeline").value();
   ASSERT_TRUE(WriteFile(container::LevelFileName(dir, 0), payload).ok());
   BinaryWriter index;  // v1: no magic, no version, no crc, no codec
   index.Put<std::uint64_t>(1);
@@ -99,8 +100,9 @@ TEST(ContainerCompatTest, V3RoundTripRecordsCodecIds) {
   const std::string dir = TempDir("mgardp_compat_v3");
   SegmentStore store;
   const std::string sparse =
-      lossless::RiceCodec().Compress(std::string(1024, '\0'));
-  const std::string dense = lossless::Compress(std::string(1024, '\x5A'));
+      lossless::CompressWith(std::string(1024, '\0'), "rice").value();
+  const std::string dense =
+      lossless::CompressWith(std::string(1024, '\x5A'), "pipeline").value();
   store.Put(0, 0, sparse);
   store.Put(0, 1, dense);
   EXPECT_EQ(store.CodecOf(0, 0), lossless::kRiceCodecId);
@@ -118,6 +120,8 @@ TEST(ContainerCompatTest, V3RoundTripRecordsCodecIds) {
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded.value().CodecOf(0, 0), lossless::kRiceCodecId);
   EXPECT_EQ(loaded.value().CodecOf(0, 1), store.CodecOf(0, 1));
+  EXPECT_STREQ(lossless::CodecName(loaded.value().CodecOf(0, 0)), "rice");
+  EXPECT_STREQ(lossless::CodecName(loaded.value().CodecOf(0, 1)), "pipeline");
   EXPECT_EQ(loaded.value().Get(0, 0).value(), sparse);
   EXPECT_EQ(loaded.value().Get(0, 1).value(), dense);
   fs::remove_all(dir);
@@ -130,8 +134,8 @@ TEST(ContainerCompatTest, MixedCodecArchiveDecodesEverySegment) {
   SegmentStore store;
   const std::string raw0(2048, '\0');
   const std::string raw1 = std::string(700, '\x33') + std::string(700, '\0');
-  store.Put(0, 0, lossless::RiceCodec().Compress(raw0));
-  store.Put(0, 1, lossless::PipelineCodec().Compress(raw1));
+  store.Put(0, 0, lossless::CompressWith(raw0, "rice").value());
+  store.Put(0, 1, lossless::CompressWith(raw1, "pipeline").value());
   store.Put(1, 0, lossless::CompressAuto(raw1));
   ASSERT_TRUE(store.WriteToDirectory(dir).ok());
   auto loaded = SegmentStore::LoadFromDirectory(dir);

@@ -32,6 +32,10 @@ run_cli(0 info --dir ${WORK}/art)
 if(NOT LAST_OUT MATCHES "original 20x20x20")
   message(FATAL_ERROR "info did not report the original dims:\n${LAST_OUT}")
 endif()
+# Every stored container names its codec; none may be unknown.
+if(NOT LAST_OUT MATCHES "codecs: [a-z]+=[0-9]+" OR LAST_OUT MATCHES "unknown=")
+  message(FATAL_ERROR "info did not name the codec mix:\n${LAST_OUT}")
+endif()
 run_cli(0 retrieve --dir ${WORK}/art --rel-error 1e-3 --out ${WORK}/r.f64)
 run_cli(0 verify --original ${WORK}/f.f64 --reconstructed ${WORK}/r.f64)
 if(NOT LAST_OUT MATCHES "psnr")
@@ -42,7 +46,7 @@ endif()
 run_cli(0 retrieve --dir ${WORK}/art --psnr 80 --estimator snorm
         --out ${WORK}/p.f64)
 
-# Every registered codec (and the auto policy) writes an archive the reader
+# Every codec name (and the auto policy) writes an archive the reader
 # retrieves transparently: the container's per-segment codec id routes
 # decode with no side channel.
 foreach(codec pipeline rice auto)

@@ -383,9 +383,8 @@ int CmdInfo(const Flags& flags) {
   // codec ids; legacy flags bytes all count as the pipeline codec).
   std::map<std::string, int> codec_mix;
   for (const auto& [level, plane] : f.segments.Keys()) {
-    const lossless::Codec* codec =
-        lossless::FindCodec(f.segments.CodecOf(level, plane));
-    ++codec_mix[codec != nullptr ? codec->Name() : "unknown"];
+    const char* name = lossless::CodecName(f.segments.CodecOf(level, plane));
+    ++codec_mix[name != nullptr ? name : "unknown"];
   }
   std::printf("  codecs:");
   for (const auto& [name, count] : codec_mix) {
