@@ -166,6 +166,23 @@ TEST_F(RetrievalSessionTest, WithoutGroundTruthRefinementIsEstimateOnly) {
   EXPECT_EQ(snap.models[0].estimate_only, 1u);
 }
 
+TEST_F(RetrievalSessionTest, AuditsUnderItsEstimatorsModelId) {
+  // A session plans with the estimator it was built with and audits under
+  // that estimator's model id.
+  SNormEstimator snorm;
+  obs::ErrorControlAuditor auditor;
+  RetrievalSession session("f", &field_, backend_.get(), &snorm);
+  session.set_auditor(&auditor);
+  RetrievalSession::Refinement info;
+  ASSERT_TRUE(session.Refine(1e-3 * range_, &info).ok());
+  ASSERT_TRUE(session.Refine(1e-5 * range_, &info).ok());
+  auto snap = auditor.snapshot();
+  ASSERT_EQ(snap.models.size(), 1u);
+  EXPECT_EQ(snap.models[0].model, AuditModelId(snorm.name()));
+  EXPECT_EQ(snap.models[0].model, "snorm");
+  EXPECT_EQ(snap.models[0].records, 2u);
+}
+
 TEST_F(RetrievalSessionTest, RejectsNonPositiveBound) {
   RetrievalSession session("f", &field_, backend_.get(), &theory_);
   EXPECT_FALSE(session.Refine(0.0, nullptr).ok());
